@@ -57,7 +57,8 @@ class AlgebraSpec:
         else:
             raise AlgebraError(f"unknown algebra kind {self.kind!r}")
 
-    @property
+    # cached: the solvers' inner loops read dim and rank of products often
+    @functools.cached_property
     def dim(self) -> int:
         if self.kind == "rn":
             return self.n
@@ -67,7 +68,7 @@ class AlgebraSpec:
             return self.n
         return sum(f.dim for f in self.factors)
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
         if self.kind == "rn":
             return self.n
@@ -214,23 +215,25 @@ def _sym_indices(n: int):
     return rows, cols, w
 
 
-def _sym_pack(n: int, M: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _sym_gather(n: int):
+    """Packed index and divisor of every full-matrix entry, row major."""
     rows, cols, w = _sym_indices(n)
-    return M[rows, cols] * w
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    return pos.ravel(), w[pos.ravel()]
+
+
+def _sym_pack(n: int, M: np.ndarray) -> np.ndarray:
+    """Packed coordinates of each matrix in a (..., n, n) stack."""
+    rows, cols, w = _sym_indices(n)
+    return M[..., rows, cols] * w
 
 
 def _sym_unpack(n: int, v: np.ndarray) -> np.ndarray:
-    rows, cols, w = _sym_indices(n)
-    M = np.zeros((n, n))
-    M[rows, cols] = v / w
-    M = M + M.T
-    M[np.diag_indices(n)] *= 0.5
-    return M
-
-
-def _sym_pack_batch(n: int, Ms: np.ndarray) -> np.ndarray:
-    rows, cols, w = _sym_indices(n)
-    return Ms[:, rows, cols] * w
+    """Symmetric matrices of each row in a (..., dim) packed stack."""
+    pos, div = _sym_gather(n)
+    return (v[..., pos] / div).reshape(v.shape[:-1] + (n, n))
 
 
 def sym_to_matrix(x: Element) -> np.ndarray:
@@ -344,52 +347,53 @@ def multiplicity_blocks(eigenvalues: np.ndarray, tol: float = TIE_TOL) -> tuple[
 
 
 def _decompose_simple(spec: AlgebraSpec, c: np.ndarray):
-    """(eigenvalues desc, frame coord rows) for a simple algebra."""
+    """(eigenvalues desc, frame coord rows) of each row of a simple-algebra stack."""
     if spec.kind == "rn":
-        order = np.argsort(-c, kind="stable")
-        lam = c[order]
-        F = np.zeros((spec.n, spec.n))
-        F[np.arange(spec.n), order] = 1.0
-        return lam, F
+        order = np.argsort(-c, axis=-1, kind="stable")
+        F = (order[..., None] == np.arange(spec.n)).astype(float)
+        return -np.sort(-c, axis=-1), F
     if spec.kind == "sym":
-        M = _sym_unpack(spec.n, c)
-        w, V = np.linalg.eigh(M)
-        w, V = w[::-1], V[:, ::-1]
-        outers = np.einsum("ik,jk->kij", V, V)
-        return w.copy(), _sym_pack_batch(spec.n, outers)
+        w, V = np.linalg.eigh(_sym_unpack(spec.n, c))
+        # eigenvector k of each matrix as row k, largest eigenvalue first
+        Vt = V.swapaxes(-1, -2)[..., ::-1, :]
+        rows, cols, wt = _sym_indices(spec.n)
+        return w[..., ::-1].copy(), Vt[..., rows] * Vt[..., cols] * wt
     if spec.kind == "spin":
-        c0, cbar = c[0], c[1:]
-        r = float(np.linalg.norm(cbar))
-        lam = np.array([(c0 + r) / _SQRT2, (c0 - r) / _SQRT2])
-        F = np.zeros((2, spec.n))
-        F[:, 0] = 1.0 / _SQRT2
-        if r > 1e-14 * (1.0 + abs(c0)):
+        c0, cbar = c[..., :1], c[..., 1:]
+        r = np.sqrt(np.add.reduce(cbar * cbar, axis=-1, keepdims=True))
+        lam = np.concatenate([c0 + r, c0 - r], axis=-1) / _SQRT2
+        F = np.empty(c.shape[:-1] + (2, spec.n))
+        F[..., 0] = 1.0 / _SQRT2
+        moving = r > 1e-14 * (1.0 + np.abs(c0))
+        if moving.all():
             u = cbar / r
         else:
-            # canonical frame when the vector part vanishes
-            u = np.zeros(spec.n - 1)
-            u[0] = 1.0
-        F[0, 1:] = u / _SQRT2
-        F[1, 1:] = -u / _SQRT2
+            # canonical frame where the vector part vanishes
+            u = np.where(moving, cbar / np.where(moving, r, 1.0), np.eye(1, spec.n - 1))
+        F[..., 0, 1:] = u / _SQRT2
+        F[..., 1, 1:] = -F[..., 0, 1:]
         return lam, F
     raise AlgebraError(f"not a simple algebra: {spec}")
 
 
 def _decompose_rows(spec: AlgebraSpec, c: np.ndarray):
-    """(eigenvalues desc, frame coord rows) for any supported algebra."""
+    """(eigenvalues desc, frame coord rows) of each row of a (..., dim) stack.
+
+    Returns (..., rank) eigenvalues and (..., rank, dim) frames.
+    """
     if spec.kind != "prod":
         return _decompose_simple(spec, c)
-    vals, rows = [], []
+    c2 = c.reshape(-1, spec.dim)
+    lam = np.empty((len(c2), spec.rank))
+    F = np.zeros((len(c2), spec.rank, spec.dim))
+    at = 0
     for f, s in zip(spec.factors, _factor_slices(spec)):
-        lam_f, F_f = _decompose_simple(f, c[s])
-        vals.append(lam_f)
-        E = np.zeros((f.rank, spec.dim))
-        E[:, s] = F_f
-        rows.append(E)
-    lam = np.concatenate(vals)
-    F = np.vstack(rows)
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], F[order]
+        lam[:, at : at + f.rank], F[:, at : at + f.rank, s] = _decompose_simple(f, c2[:, s])
+        at += f.rank
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    at_row = np.arange(len(c2))[:, None]
+    lead = c.shape[:-1]
+    return lam[at_row, order].reshape(lead + (spec.rank,)), F[at_row, order].reshape(lead + F.shape[1:])
 
 
 def spectral_decompose(x: Element, tol: float = TIE_TOL) -> SpectralDecomposition:
@@ -405,17 +409,17 @@ def spectral_decompose(x: Element, tol: float = TIE_TOL) -> SpectralDecompositio
 
 
 def _eigvals(spec: AlgebraSpec, c: np.ndarray) -> np.ndarray:
+    """Nonincreasing eigenvalues of each row of a (..., dim) stack."""
     if spec.kind == "rn":
-        return np.sort(c)[::-1].copy()
+        return -np.sort(-c, axis=-1)
     if spec.kind == "sym":
-        w = np.linalg.eigvalsh(_sym_unpack(spec.n, c))
-        return w[::-1].copy()
+        return np.linalg.eigvalsh(_sym_unpack(spec.n, c))[..., ::-1]
     if spec.kind == "spin":
-        c0 = c[0]
-        r = np.linalg.norm(c[1:])
-        return np.array([(c0 + r) / _SQRT2, (c0 - r) / _SQRT2])
-    parts = [_eigvals(f, c[s]) for f, s in zip(spec.factors, _factor_slices(spec))]
-    return np.sort(np.concatenate(parts))[::-1].copy()
+        c0, cbar = c[..., :1], c[..., 1:]
+        r = np.sqrt(np.add.reduce(cbar * cbar, axis=-1, keepdims=True))
+        return np.concatenate([c0 + r, c0 - r], axis=-1) / _SQRT2
+    parts = [_eigvals(f, c[..., s]) for f, s in zip(spec.factors, _factor_slices(spec))]
+    return -np.sort(-np.concatenate(parts, axis=-1), axis=-1)
 
 
 def eigenvalue_map(x: Element) -> np.ndarray:
@@ -473,7 +477,7 @@ def _lyapunov_direct(spec: AlgebraSpec, c: np.ndarray) -> np.ndarray:
         A = _sym_unpack(spec.n, c)
         B = _sym_basis_stack(spec.n)
         prods = 0.5 * (A @ B + B @ A)
-        return _sym_pack_batch(spec.n, prods).T
+        return _sym_pack(spec.n, prods).T
     L = np.zeros((spec.dim, spec.dim))
     for f, s in zip(spec.factors, _factor_slices(spec)):
         L[s, s] = _lyapunov_direct(f, c[s])

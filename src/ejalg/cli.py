@@ -2,8 +2,7 @@
 
 Exit codes: 0 clean run, 1 violations or solver failure, 2 usage
 errors.  JSON is the authoritative record format; CSV is a flattened
-per-trial residual table for spreadsheets.  The env var EJA_THREADS
-caps trial parallelism inside the suites.
+per-trial residual table for spreadsheets.
 """
 
 from __future__ import annotations

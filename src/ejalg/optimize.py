@@ -34,6 +34,7 @@ from .algebra import (
     _make,
 )
 from .liegroup import (
+    SkewCurves,
     derivation_basis,
     exp_action,
     random_automorphism,
@@ -45,6 +46,10 @@ ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 60
 KAPPA_SAFE = 1e-10
+# a Newton step whose predicted decrease is below this many ulps of the
+# current value cannot be told apart from rounding in the value itself;
+# spectral values carry the rounding of every eigenvalue, several ulps
+STALL_ULPS = 16.0
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,14 @@ class CommutationReport:
 
 @dataclass(frozen=True)
 class OptResult:
+    """A solver's answer.
+
+    ``status`` is "converged" (stationarity within tol), "stalled" (the
+    Newton step predicts a decrease below the rounding of the value and
+    its full step raises the value), "max_iters", "line_search_failed",
+    or "oracle" for the brute-force enumeration.
+    """
+
     x: Element
     value: float
     iterations: int
@@ -177,9 +190,11 @@ class Objective:
     """Value/subgradient pair with a sense and diagnostic anchors.
 
     ``subgradient`` may be None, in which case solvers fall back to
-    central finite differences.  ``smooth`` hints whether conjugate
-    directions are worthwhile; nonsmooth objectives use plain
-    subgradient steps.
+    central finite differences.  ``smooth`` hints whether a Newton
+    endgame is worthwhile; nonsmooth objectives use plain subgradient
+    steps.  ``stacked`` marks ``value_c``/``subgrad_c`` that also map an
+    (m, dim) stack row by row to (m,) values and (m, dim) subgradients;
+    solvers evaluate other objectives one row at a time.
     """
 
     label: str
@@ -193,6 +208,7 @@ class Objective:
     # them because the inner loops never need Element wrappers
     value_c: Callable[[np.ndarray], float] | None = None
     subgrad_c: Callable[[np.ndarray], np.ndarray] | None = None
+    stacked: bool = False
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -219,6 +235,7 @@ def shifted_spectral(F: SpectralFunction, a: Element, sense: str = "min") -> Obj
         anchors=(("shift_a", a),),
         value_c=value_c,
         subgrad_c=subgrad_c,
+        stacked=True,
     )
 
 
@@ -226,14 +243,14 @@ def linear_plus_spectral(c: Element, F: SpectralFunction | None, sense: str = "m
     cc = c.coords
 
     def value_c(xc: np.ndarray) -> float:
-        out = float(cc @ xc)
+        out = np.add.reduce(xc * cc, axis=-1)
         if F is not None:
-            out += spectral_value_coords(F, xc)
+            out = out + spectral_value_coords(F, xc)
         return out
 
     def subgrad_c(xc: np.ndarray) -> np.ndarray:
         if F is None:
-            return cc.copy()
+            return np.broadcast_to(cc, xc.shape).copy()
         return cc + spectral_subgrad_coords(F, xc)
 
     label = "<c, x>" if F is None else f"<c, x> + {F.f.name}(x)"
@@ -247,6 +264,7 @@ def linear_plus_spectral(c: Element, F: SpectralFunction | None, sense: str = "m
         anchors=(("c", c),),
         value_c=value_c,
         subgrad_c=subgrad_c,
+        stacked=True,
     )
 
 
@@ -294,7 +312,12 @@ def fd_gradient(value: Callable[[Element], float], x: Element, h: float) -> Elem
 
 
 def _signed(obj: Objective):
-    """Minimization view: returns (value_fn, grad_fn) on raw coords."""
+    """Minimization view on raw coords: returns (sgn, value_fn, grad_fn).
+
+    Both functions take one coordinate row or an (m, dim) stack; stacks
+    go to the objective whole when it is ``stacked`` and row by row
+    otherwise.
+    """
     sgn = 1.0 if obj.sense == "min" else -1.0
     spec = obj.algebra
 
@@ -302,9 +325,6 @@ def _signed(obj: Objective):
         raw_val = obj.value_c
     else:
         raw_val = lambda c: obj.value(Element(spec, c))
-
-    def val(c: np.ndarray) -> float:
-        return sgn * raw_val(c)
 
     if obj.subgrad_c is not None:
         raw_grad = lambda c, h: obj.subgrad_c(c)
@@ -326,8 +346,18 @@ def _signed(obj: Objective):
                 g[i] = (up - dn) / (2.0 * step)
             return g
 
+    whole_val = obj.stacked and obj.value_c is not None
+    whole_grad = obj.stacked and obj.subgrad_c is not None
+
+    def val(c: np.ndarray):
+        if c.ndim == 1 or whole_val:
+            return sgn * np.asarray(raw_val(c), dtype=float)
+        return sgn * np.array([raw_val(row) for row in c], dtype=float)
+
     def grad(c: np.ndarray, h: float) -> np.ndarray:
-        return sgn * raw_grad(c, h)
+        if c.ndim == 1 or whole_grad:
+            return sgn * np.asarray(raw_grad(c, h), dtype=float)
+        return sgn * np.array([raw_grad(row, h) for row in c], dtype=float).reshape(c.shape)
 
     return sgn, val, grad
 
@@ -341,6 +371,269 @@ def _diagnostics(obj: Objective, x: Element, g: Element | None, tol: float) -> C
     return CommutationReport(tuple(pairs), tol)
 
 
+def _evaluate(fn, C: np.ndarray, shape: tuple, *args) -> tuple[np.ndarray, dict]:
+    """(fn(C, *args), errors) for an (m, dim) stack.
+
+    When the stacked call raises AlgebraError the rows are retried one
+    at a time; a row that raises again comes back NaN, with its error
+    under its row index in ``errors``.
+    """
+    try:
+        return fn(C, *args), {}
+    except AlgebraError as exc:
+        if len(C) == 1:
+            return np.full(shape, np.nan), {0: exc}
+    out, errors = np.full(shape, np.nan), {}
+    for i in range(len(C)):
+        row, err = _evaluate(fn, C[i : i + 1], (1,) + shape[1:], *args)
+        out[i] = row[0]
+        errors.update({i: e for e in err.values()})
+    return out, errors
+
+
+@dataclass(frozen=True)
+class _Solve:
+    """Where one orbit start ended, before its diagnostics are built."""
+
+    c: np.ndarray
+    value: float  # in the objective's own sense
+    iterations: int
+    stationarity: float
+    status: str
+
+
+class _Lockstep:
+    """Per-start state of an (m, dim) stack of orbit iterates.
+
+    Rows leave the stack as they finish; ``out`` holds each start's
+    _Solve or the AlgebraError that failed it, by start index.
+    """
+
+    def __init__(self, starts: np.ndarray, k: int, sgn: float):
+        m = len(starts)
+        self.sgn = sgn
+        self.out: list = [None] * m
+        self.rows = {
+            "id": np.arange(m),
+            "c": np.array(starts, dtype=float),
+            "fc": np.zeros(m),
+            "stat": np.full(m, np.inf),
+            "t_prev": np.ones(m),
+            "Vp": np.zeros((m, k, k)),  # cached saddle-free Hessian factorization
+            "wp": np.ones((m, k)),
+            "factored": np.zeros(m, dtype=bool),
+            "age": np.zeros(m, dtype=int),
+            "full_step": np.ones(m, dtype=bool),
+        }
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.rows[key]
+
+    def __len__(self) -> int:
+        return len(self.rows["id"])
+
+    def finish(self, mask: np.ndarray, status: str, it: int) -> None:
+        r = self.rows
+        for i in np.flatnonzero(mask) if mask.any() else ():
+            self.out[r["id"][i]] = _Solve(r["c"][i].copy(), float(self.sgn * r["fc"][i]), it, float(r["stat"][i]), status)
+
+    def fail(self, mask: np.ndarray, errors: dict, what: str) -> None:
+        for i in np.flatnonzero(mask) if mask.any() else ():
+            self.out[self.rows["id"][i]] = errors.get(i) or AlgebraError(f"{what} not finite on the orbit")
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.rows = {key: v[mask] for key, v in self.rows.items()}
+
+
+def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, params: SolverParams) -> list:
+    """Descend from every row of an (m, dim) stack of orbit points at once.
+
+    Each row runs its own descent along automorphism curves
+    x <- exp(t D) x; every iteration makes one stacked call for the
+    center pairings, one per Armijo trial round and one for the Hessian
+    probes of the rows that refresh their curvature.  Returns one entry
+    per start: a _Solve, or the AlgebraError that failed the start when
+    its value or subgradient was not finite or raised.
+    """
+    sgn, val, grad = _signed(obj)
+    dim, k = basis.algebra.dim, basis.dimension
+    S = basis.stack
+    st = _Lockstep(starts, k, sgn)
+    fc, errors = _evaluate(val, st["c"], (len(st),))
+    st["fc"][:] = fc
+    bad = ~np.isfinite(fc)
+    st.fail(bad, errors, "objective value")
+    st.keep(~bad)
+    if k == 0:
+        st["stat"][:] = 0.0
+        st.finish(np.ones(len(st), dtype=bool), "converged", 0)
+        return st.out
+    it = 0
+    for it in range(1, params.max_iters + 1):
+        if not len(st):
+            break
+        c, fc = st["c"], st["fc"]
+        g, errors = _evaluate(grad, c, c.shape, params.fd_step)
+        beta = (tangent_stack(basis, c) @ g[:, :, None])[:, :, 0]
+        bad = ~np.isfinite(beta).all(axis=1)
+        st.fail(bad, errors, "subgradient")
+        stat = np.sqrt(np.add.reduce(beta * beta, axis=1))
+        st["stat"][:] = stat
+        done = ~bad & (stat <= params.tol)
+        st.finish(done, "converged", it)
+        if (bad | done).any():
+            go = ~(bad | done)
+            st.keep(go)
+            beta, stat = beta[go], stat[go]
+            c, fc = st["c"], st["fc"]
+            if not len(st):
+                break
+        d = -beta
+        newton = np.zeros(len(st), dtype=bool)
+        if obj.smooth:
+            # saddle-free Newton endgame: the acceptance tolerances need
+            # the stationarity tail, which plain descent crawls through;
+            # |curvature| keeps saddle escapes at a sane scale
+            newton = (it > 3) | (stat <= 1e-2 * (1.0 + np.abs(fc)))
+            # curvature barely moves inside the quadratic basin, so reuse
+            # the factorization while full steps keep landing
+            refresh = newton & (~st["factored"] | ~st["full_step"] | (st["age"] >= 5))
+            st["age"][newton & ~refresh] += 1
+            if refresh.any():
+                bad = _refresh_curvature(st, basis, grad, beta, refresh, params)
+                if bad.any():
+                    st.keep(~bad)
+                    beta, stat, newton, d = beta[~bad], stat[~bad], newton[~bad], d[~bad]
+                    c, fc = st["c"], st["fc"]
+                    if not len(st):
+                        break
+            if newton.any():
+                Vp, wp = st["Vp"][newton], st["wp"][newton]
+                y = (Vp.swapaxes(1, 2) @ beta[newton][:, :, None])[:, :, 0] / wp
+                d[newton] = -(Vp @ y[:, :, None])[:, :, 0]
+        slope = np.add.reduce(d * beta, axis=1)  # derivative of val along the curve, < 0
+        D = (d[:, None, :] @ S.reshape(k, -1)).reshape(-1, dim, dim)
+        t = np.where(newton, 1.0, np.minimum(1.0, 2.0 * st["t_prev"]))
+        accepted, stalled, errors = _armijo(val, D, c, fc, t, slope, newton)
+        st["full_step"][:] = np.where(newton & accepted, t == 1.0, st["full_step"])
+        st["t_prev"][:] = np.where(~newton & accepted, t, st["t_prev"])
+        failed = np.zeros(len(st), dtype=bool)
+        failed[list(errors)] = True
+        st.fail(failed, errors, "objective value")
+        st.finish(stalled, "stalled", it)
+        lost = ~accepted & ~stalled & ~failed
+        st.finish(lost, "line_search_failed", it)
+        if not accepted.all():
+            st.keep(accepted)
+    st.finish(np.ones(len(st), dtype=bool), "max_iters", it)
+    return st.out
+
+
+def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np.ndarray, params: SolverParams) -> np.ndarray:
+    """New saddle-free factorizations for the rows in ``refresh``.
+
+    Forward differences of the pairing along each basis curve, off the
+    already-computed center pairing, symmetrized (the O(h) skew part
+    cancels); the k probes of every refreshed row are one stacked
+    exponential and one stacked subgradient call.  Returns the mask of
+    rows that failed, already recorded in ``st``.
+    """
+    k, dim = basis.dimension, basis.algebra.dim
+    rows = np.flatnonzero(refresh)
+    c = st["c"][rows]
+    h = 1e-5 * (1.0 + np.sqrt(np.add.reduce(c * c, axis=1)))
+    probes = exp_action(basis.stack, c[:, None, :], h[:, None]).reshape(-1, dim)
+    g, errors = _evaluate(grad, probes, probes.shape, params.fd_step)
+    up = (tangent_stack(basis, probes) @ g[:, :, None])[:, :, 0].reshape(-1, k, k)
+    H = (up - beta[rows][:, None, :]) / h[:, None, None]
+    H = 0.5 * (H + H.swapaxes(1, 2))
+    ok = np.isfinite(H).all(axis=(1, 2))
+    w, V = np.linalg.eigh(np.where(ok[:, None, None], H, 0.0))
+    floor = np.maximum(1e-8 * np.max(np.abs(w), axis=1, initial=0.0), 1e-10)
+    st["Vp"][rows] = V
+    st["wp"][rows] = np.maximum(np.abs(w), floor[:, None])
+    st["age"][rows] = 0
+    st["factored"][rows] = True
+    bad = np.zeros(len(st), dtype=bool)
+    bad[rows[~ok]] = True
+    st.fail(bad, {rows[j // k]: e for j, e in errors.items()}, "subgradient")
+    return bad
+
+
+def _armijo(val, D, c, fc, t, slope, newton):
+    """Armijo backtracking for every row, each with its own trial step.
+
+    Rows still pending share one stacked value call per round, on
+    trial points from one eigendecomposition of the skew D.  Updates
+    c, fc and t in place for accepted rows; returns (accepted, stalled,
+    errors).  A Newton row whose predicted decrease |slope| is within
+    STALL_ULPS ulps of |fc| is at the rounding floor of the value: its
+    full step is accepted unless the value rises by more than that
+    much, and then the row stalls instead of halving.
+    """
+    n = len(c)
+    accepted = np.zeros(n, dtype=bool)
+    stalled = np.zeros(n, dtype=bool)
+    errors = {}
+    errored = np.zeros(n, dtype=bool)
+    pend = np.arange(n)
+    noise = STALL_ULPS * np.finfo(float).eps * np.abs(fc)
+    floor = newton & (np.abs(slope) <= noise)
+    curves = SkewCurves(D, c)
+    for _ in range(MAX_HALVINGS):
+        ct = curves.at(t[pend], pend)
+        ft, errs = _evaluate(val, ct, (len(pend),))
+        if errs:
+            errors.update({pend[j]: e for j, e in errs.items()})
+            errored[pend[list(errs)]] = True
+        bound = np.where(floor[pend], noise[pend], ARMIJO_C1 * t[pend] * slope[pend])
+        ok = np.isfinite(ft) & (ft <= fc[pend] + bound)
+        hit = pend[ok]
+        c[hit], fc[hit] = ct[ok], ft[ok]
+        accepted[hit] = True
+        miss = pend[~ok]
+        stall = floor[miss]
+        stalled[miss[stall]] = True
+        pend = miss[~(stall | errored[miss])]
+        if not len(pend):
+            break
+        t[pend] *= BACKTRACK
+    return accepted, stalled, errors
+
+
+def _finish(obj: Objective, row: _Solve, params: SolverParams) -> OptResult:
+    """The OptResult of one finished start, with its commutation diagnostics."""
+    spec = obj.algebra
+    xbar = Element(spec, row.c)
+    if obj.subgrad_c is not None:
+        g_el = _make(spec, np.asarray(obj.subgrad_c(row.c), dtype=float))
+    elif obj.subgradient is not None:
+        g_el = obj.subgradient(xbar)
+    else:
+        sgn, _, grad = _signed(obj)
+        g_el = Element(spec, sgn * grad(row.c, params.fd_step))
+    return OptResult(
+        xbar, row.value, row.iterations, row.stationarity, _diagnostics(obj, xbar, g_el, TIE_TOL), row.status
+    )
+
+
+def _orbit_basis(obj: Objective, fset: FeasibleSet):
+    if fset.variant != "orbit":
+        raise AlgebraError("orbit_descent needs an orbit feasible set")
+    if fset.algebra != obj.algebra:
+        raise AlgebraError("algebra mismatch")
+    return derivation_basis(obj.algebra)
+
+
+def _orbit_start(fset: FeasibleSet, x0: Element | None, params: SolverParams) -> np.ndarray:
+    if x0 is None:
+        return fset.anchor.coords
+    ok, r = membership(fset, x0, tol=max(params.feas_tol, 1e-6))
+    if not ok:
+        raise AlgebraError(f"x0 off the orbit (residual {r:.2e})")
+    return x0.coords
+
+
 def orbit_descent(
     obj: Objective,
     fset: FeasibleSet,
@@ -349,108 +642,18 @@ def orbit_descent(
 ) -> OptResult:
     """Descent along automorphism curves x <- exp(tD) x.
 
-    Directions combine the derivation basis with coefficients paired
-    against the current (sub)gradient; smooth objectives additionally
-    conjugate successive directions (restarting whenever descent is
-    lost).  Armijo backtracking with a warm-started trial step.
+    Directions pair the derivation basis against the current
+    (sub)gradient; smooth objectives finish with a saddle-free Newton
+    endgame on a finite-difference Hessian.  Armijo backtracking with a
+    warm-started trial step.  This is the one-row call of the lockstep
+    core that ``multistart`` runs over all its starts at once.
     """
-    if fset.variant != "orbit":
-        raise AlgebraError("orbit_descent needs an orbit feasible set")
-    spec = obj.algebra
-    if fset.algebra != spec:
-        raise AlgebraError("algebra mismatch")
-    basis = derivation_basis(spec)
-    if x0 is None:
-        x0 = fset.anchor
-    else:
-        ok, r = membership(fset, x0, tol=max(params.feas_tol, 1e-6))
-        if not ok:
-            raise AlgebraError(f"x0 off the orbit (residual {r:.2e})")
-    sgn, val, grad = _signed(obj)
-    c = x0.coords.copy()
-    fc = val(c)
-    if basis.dimension == 0:
-        g = Element(spec, sgn * grad(c, params.fd_step))
-        return OptResult(
-            Element(spec, c), sgn * fc, 0, 0.0,
-            _diagnostics(obj, Element(spec, c), g, TIE_TOL), "converged",
-        )
-    k = basis.dimension
-
-    def pairing(cc: np.ndarray) -> np.ndarray:
-        return tangent_stack(basis, cc) @ grad(cc, params.fd_step)
-
-    def hessian(cc: np.ndarray, h: float, beta0: np.ndarray) -> np.ndarray:
-        # curvature of the pulled-back objective in basis coefficients;
-        # forward differences off the already-computed center pairing,
-        # symmetrized (the O(h) skew part cancels)
-        H = np.empty((k, k))
-        for j in range(k):
-            up = pairing(exp_action(basis.stack[j], cc, h))
-            H[:, j] = (up - beta0) / h
-        return 0.5 * (H + H.T)
-
-    t_prev = 1.0
-    status = "max_iters"
-    stat = np.inf
-    it = 0
-    beta = np.zeros(k)
-    Vp = None  # cached saddle-free Hessian factorization
-    wp = None
-    age = 0
-    full_step = True
-    for it in range(1, params.max_iters + 1):
-        beta = pairing(c)
-        stat = float(np.linalg.norm(beta))
-        if stat <= params.tol:
-            status = "converged"
-            break
-        d = -beta
-        newton = False
-        if obj.smooth and (it > 3 or stat <= 1e-2 * (1.0 + abs(fc))):
-            # saddle-free Newton endgame: the acceptance tolerances need
-            # the stationarity tail, which plain descent crawls through;
-            # |curvature| keeps saddle escapes at a sane scale
-            if Vp is None or not full_step or age >= 5:
-                H = hessian(c, 1e-5 * (1.0 + np.linalg.norm(c)), beta)
-                w, V = np.linalg.eigh(H)
-                floor = max(1e-8 * float(np.max(np.abs(w), initial=0.0)), 1e-10)
-                Vp, wp, age = V, np.maximum(np.abs(w), floor), 0
-            else:
-                # curvature barely moves inside the quadratic basin, so
-                # reuse the factorization while full steps keep landing
-                age += 1
-            d = -Vp @ ((Vp.T @ beta) / wp)
-            newton = True
-        slope = float(d @ beta)  # derivative of val along the curve, < 0
-        D = np.tensordot(d, basis.stack, axes=(0, 0))
-        t = 1.0 if newton else min(1.0, 2.0 * t_prev)
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            ct = exp_action(D, c, t)
-            ft = val(ct)
-            if ft <= fc + ARMIJO_C1 * t * slope:
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted:
-            status = "line_search_failed"
-            break
-        c, fc = ct, ft
-        if newton:
-            full_step = t == 1.0
-        else:
-            t_prev = t
-    xbar = Element(spec, c)
-    if obj.subgrad_c is not None:
-        g_el = _make(spec, obj.subgrad_c(c))
-    elif obj.subgradient is not None:
-        g_el = obj.subgradient(xbar)
-    else:
-        g_el = Element(spec, sgn * grad(c, params.fd_step))
-    return OptResult(
-        xbar, sgn * fc, it, stat, _diagnostics(obj, xbar, g_el, TIE_TOL), status
-    )
+    basis = _orbit_basis(obj, fset)
+    start = _orbit_start(fset, x0, params)
+    (row,) = _orbit_lockstep(obj, basis, start[None], params)
+    if isinstance(row, AlgebraError):
+        raise row
+    return _finish(obj, row, params)
 
 
 def _factor_parts(x: Element):
@@ -645,30 +848,54 @@ def multistart(
     For box sets start 1 uses the spread profile; remaining starts are
     random. Deterministic given the seed: starts draw from per-index
     spawned generators, and ties in value keep the lowest start index.
+    Orbit starts descend in lockstep as one stacked solve; a start whose
+    solve raises AlgebraError is dropped.
     """
     if starts < 1:
         raise AlgebraError("starts must be >= 1")
-    solver = orbit_descent if fset.variant == "orbit" else spectralbox_descent
     sgn = 1.0 if obj.sense == "min" else -1.0
-    best: OptResult | None = None
-    failures: list[Exception] = []
-    for i in range(starts):
-        if i == 0:
-            x0 = None
+    x0s: list[Element | None] = [None]
+    for i in range(1, starts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        if i == 1 and fset.variant == "box":
+            x0s.append(_spread_start(fset, rng))
         else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            if i == 1 and fset.variant == "box":
-                x0 = _spread_start(fset, rng)
-            else:
-                x0 = _random_start(fset, rng)
-        try:
-            res = solver(obj, fset, x0, params)
-        except AlgebraError as exc:
-            failures.append(exc)
-            continue
-        res = replace(res, start_index=i)
-        if best is None or sgn * res.value < sgn * best.value:
-            best = res
-    if best is None:
-        raise AlgebraError(f"all {starts} starts failed: {failures[-1]}")
-    return best
+            x0s.append(_random_start(fset, rng))
+    failures: list[tuple[int, AlgebraError]] = []
+    solved: dict[int, OptResult | _Solve] = {}
+    if fset.variant == "orbit":
+        basis = _orbit_basis(obj, fset)
+        rows = {}
+        for i, x0 in enumerate(x0s):
+            try:
+                rows[i] = _orbit_start(fset, x0, params)
+            except AlgebraError as exc:
+                failures.append((i, exc))
+        if rows:
+            outs = _orbit_lockstep(obj, basis, np.stack(list(rows.values())), params)
+            for i, out in zip(rows, outs):
+                if isinstance(out, AlgebraError):
+                    failures.append((i, out))
+                else:
+                    solved[i] = out
+    else:
+        for i, x0 in enumerate(x0s):
+            try:
+                solved[i] = spectralbox_descent(obj, fset, x0, params)
+            except AlgebraError as exc:
+                failures.append((i, exc))
+    while solved:
+        best = None
+        for i, res in solved.items():
+            if best is None or sgn * res.value < sgn * solved[best].value:
+                best = i
+        res = solved.pop(best)
+        if isinstance(res, _Solve):
+            try:
+                res = _finish(obj, res, params)
+            except AlgebraError as exc:
+                failures.append((best, exc))
+                continue
+        return replace(res, start_index=best)
+    last = max(failures, key=lambda f: f[0])[1]
+    raise AlgebraError(f"all {starts} starts failed: {last}")

@@ -36,7 +36,11 @@ MAJORIZE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SymmetricFunction:
-    """Permutation-invariant f: R^k -> R with convexity metadata."""
+    """Permutation-invariant f: R^k -> R with convexity metadata.
+
+    With ``stacked`` set, value and subgrad also map a (..., k) stack
+    row by row, returning (...) values and (..., k) subgradients.
+    """
 
     name: str
     value: Callable[[np.ndarray], float]
@@ -45,6 +49,7 @@ class SymmetricFunction:
     is_strictly_convex: bool
     is_norm: bool
     is_strictly_convex_norm: bool
+    stacked: bool = False
 
 
 def schatten(p: float) -> SymmetricFunction:
@@ -53,17 +58,21 @@ def schatten(p: float) -> SymmetricFunction:
     if p < 1.0:
         raise ValueError(f"schatten needs p >= 1, got {p}")
 
-    def value(u: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(u, dtype=float), p))
+    def value(u: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        if p == 2.0:
+            return np.sqrt(np.add.reduce(u * u, axis=-1))
+        if p == 1.0:
+            return np.add.reduce(np.abs(u), axis=-1)
+        return np.add.reduce(np.abs(u) ** p, axis=-1) ** (1.0 / p)
 
     def subgrad(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if p == 1.0:
             return np.sign(u)
-        nu = np.linalg.norm(u, p)
-        if nu == 0.0:
-            return np.zeros_like(u)
-        return np.sign(u) * (np.abs(u) / nu) ** (p - 1.0)
+        nu = value(u)[..., None]
+        ratio = np.divide(np.abs(u), nu, out=np.zeros_like(u), where=nu != 0.0)
+        return np.sign(u) * ratio ** (p - 1.0)
 
     label = f"schatten:{int(p)}" if p == int(p) else f"schatten:{p}"
     return SymmetricFunction(
@@ -74,31 +83,38 @@ def schatten(p: float) -> SymmetricFunction:
         is_strictly_convex=False,
         is_norm=True,
         is_strictly_convex_norm=p > 1.0,
+        stacked=True,
     )
 
 
 def sumsq() -> SymmetricFunction:
     """Sum of squared eigenvalues; strictly convex, not a norm."""
+
+    def value(u: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        return np.add.reduce(u * u, axis=-1)
+
     return SymmetricFunction(
         name="sumsq",
-        value=lambda u: float(np.sum(np.square(u))),
+        value=value,
         subgrad=lambda u: 2.0 * np.asarray(u, dtype=float),
         is_convex=True,
         is_strictly_convex=True,
         is_norm=False,
         is_strictly_convex_norm=False,
+        stacked=True,
     )
 
 
 def kappa_function() -> SymmetricFunction:
     """Spectral condition number largest/smallest; needs a positive spectrum."""
 
-    def value(u: np.ndarray) -> float:
+    def value(u: np.ndarray):
         u = np.asarray(u, dtype=float)
-        lo = float(np.min(u))
-        if lo <= 0.0:
+        lo = np.min(u, axis=-1)
+        if np.any(lo <= 0.0):
             raise ValueError("condition number needs a strictly positive spectrum")
-        return float(np.max(u)) / lo
+        return np.max(u, axis=-1) / lo
 
     return SymmetricFunction(
         name="kappa",
@@ -108,6 +124,7 @@ def kappa_function() -> SymmetricFunction:
         is_strictly_convex=False,
         is_norm=False,
         is_strictly_convex_norm=False,
+        stacked=True,
     )
 
 
@@ -137,21 +154,39 @@ class SpectralFunction:
 def spectral_value(F: SpectralFunction, x: Element) -> float:
     if x.algebra != F.algebra:
         raise AlgebraError("algebra mismatch")
-    return F.f.value(_eigvals(F.algebra, x.coords))
+    return float(F.f.value(_eigvals(F.algebra, x.coords)))
 
 
-def spectral_value_coords(F: SpectralFunction, c: np.ndarray) -> float:
-    """spectral_value on raw coordinates; hot path for solvers."""
-    return F.f.value(_eigvals(F.algebra, c))
+def _rowwise(fn, u: np.ndarray, stacked: bool) -> np.ndarray:
+    """fn on each row of a (..., k) stack; a stacked fn takes it whole."""
+    if stacked:
+        return np.asarray(fn(u), dtype=float)
+    flat = np.array([fn(row) for row in u.reshape(-1, u.shape[-1])], dtype=float)
+    return flat.reshape(u.shape[:-1] + flat.shape[1:])
+
+
+def spectral_value_coords(F: SpectralFunction, c: np.ndarray):
+    """spectral_value on raw coordinates, per row of a (..., dim) stack."""
+    lam = _eigvals(F.algebra, c)
+    if c.ndim == 1:
+        return float(F.f.value(lam))
+    return _rowwise(F.f.value, lam, F.f.stacked)
 
 
 def spectral_subgrad_coords(F: SpectralFunction, c: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
+    """Block-averaged spectral subgradient per row of a (..., dim) stack."""
     lam, rows = _decompose_rows(F.algebra, c)
-    g = np.array(F.f.subgrad(lam), dtype=float)
-    for block in multiplicity_blocks(lam, tol):
-        if len(block) > 1:
-            g[list(block)] = np.mean(g[list(block)])
-    return g @ rows
+    g = _rowwise(F.f.subgrad, lam, F.f.stacked)
+    # vectorized gap test; only rows with ties average their blocks
+    close = lam[..., :-1] - lam[..., 1:] <= tol * (1.0 + np.abs(lam[..., :1]))
+    if close.any():
+        g = g.copy()
+        lam2, g2 = lam.reshape(-1, lam.shape[-1]), g.reshape(-1, g.shape[-1])
+        for i in np.flatnonzero(close.reshape(len(lam2), -1).any(axis=1)):
+            for block in multiplicity_blocks(lam2[i], tol):
+                if len(block) > 1:
+                    g2[i, list(block)] = np.mean(g2[i, list(block)])
+    return (g[..., None, :] @ rows)[..., 0, :]
 
 
 def spectral_subgradient(F: SpectralFunction, x: Element, tol: float = TIE_TOL) -> Element:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,23 +142,6 @@ def _hash_inputs(*arrays) -> str:
     return h.hexdigest()[:12]
 
 
-def _worker_count() -> int:
-    try:
-        n = int(os.environ.get("EJA_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_trials(fn, n: int) -> list:
-    """Run trials 0..n-1, merged by index; EJA_THREADS caps parallelism."""
-    workers = _worker_count()
-    if workers > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, range(n)))
-    return [fn(i) for i in range(n)]
-
-
 def _tally(records: list[dict], keys: tuple[str, ...]) -> dict:
     worst = {}
     for key in keys:
@@ -233,7 +214,7 @@ def verify_smooth_principle(cfg: SuiteConfig, params: SolverParams = SolverParam
             rec["status"] = "violation"
         return rec
 
-    records = _map_trials(trial, cfg.trials)
+    records = [trial(i) for i in range(cfg.trials)]
     violations = sum(r["status"] == "violation" for r in records)
     skips = sum(r["status"] == "skip" for r in records)
     return SuiteReport(
@@ -338,7 +319,7 @@ def verify_max_principle(cfg: SuiteConfig, params: SolverParams = SolverParams()
             rec["status"] = "violation"
         return rec
 
-    records = _map_trials(trial, cfg.trials)
+    records = [trial(i) for i in range(cfg.trials)]
     violations = sum(r["status"] == "violation" for r in records)
     skips = sum(r["status"] == "skip" for r in records)
     return SuiteReport(
@@ -593,7 +574,7 @@ def verify_min_principle(cfg: SuiteConfig, params: SolverParams = SolverParams()
             rec["status"] = "violation"
         return rec
 
-    records = _map_trials(trial, cfg.trials)
+    records = [trial(i) for i in range(cfg.trials)]
     witness = midpoint_witness_record(tol)
     records.append(witness)
     violations = sum(r["status"] == "violation" for r in records)
@@ -678,7 +659,7 @@ def verify_shifted_principle(
             rec["status"] = "violation"
         return rec
 
-    records = _map_trials(trial, cfg.trials)
+    records = [trial(i) for i in range(cfg.trials)]
     violations = sum(r["status"] == "violation" for r in records)
     skips = sum(r["status"] == "skip" for r in records)
     return SuiteReport(
@@ -723,7 +704,7 @@ def verify_normal_cone(cfg: SuiteConfig) -> SuiteReport:
             rec["control"] = abs(float(np.sum(Hc * D)))
         return rec
 
-    records = _map_trials(trial, cfg.trials)
+    records = [trial(i) for i in range(cfg.trials)]
     violations = sum(r["status"] == "violation" for r in records)
     notes = []
     if basis.dimension > 0:
@@ -987,7 +968,7 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5, params: SolverParams | None =
             rec["status"] = "violation"
         return rec
 
-    records = _map_trials(trial, cfg.trials)
+    records = [trial(i) for i in range(cfg.trials)]
     notes = []
     if spec.rank == 3:
         # reference instance: spectrum (4, 2, 1) on a random frame has a

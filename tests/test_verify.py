@@ -145,13 +145,6 @@ def test_smooth_suite_deterministic():
     assert c.records != a.records
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    base = verify_smooth_principle(small(trials=3))
-    monkeypatch.setenv("EJA_THREADS", "3")
-    threaded = verify_smooth_principle(small(trials=3))
-    assert threaded.records == base.records
-
-
 def test_max_suite_passes():
     rep = verify_max_principle(small(trials=3))
     assert rep.passed
