@@ -133,73 +133,42 @@ class Automorphism:
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a fixed-order Taylor core, per (..., n, n) matrix."""
-    nrm = np.sqrt(np.add.reduce((A * A).reshape(A.shape[:-2] + (-1,)), axis=-1))
-    squarings = np.ceil(np.log2(np.maximum(nrm, EXP_SCALE_THRESHOLD) / EXP_SCALE_THRESHOLD))
-    A = A / np.exp2(squarings)[..., None, None]
-    eye = np.eye(A.shape[-1])
-    E = eye
+    """Scaling-and-squaring with a fixed-order Taylor core."""
+    nrm = float(np.linalg.norm(A))
+    squarings = 0
+    if nrm > EXP_SCALE_THRESHOLD:
+        squarings = int(np.ceil(np.log2(nrm / EXP_SCALE_THRESHOLD)))
+        A = A / (2.0**squarings)
+    E = np.eye(A.shape[0])
     # Horner evaluation of sum A^k / k!
     for k in range(_TAYLOR_ORDER, 0, -1):
-        E = eye + (A @ E) / k
-    fewest, most = int(squarings.min()), int(squarings.max())
-    for j in range(most):
-        E = E @ E if j < fewest else np.where((squarings > j)[..., None, None], E @ E, E)
+        E = np.eye(A.shape[0]) + (A @ E) / k
+    for _ in range(squarings):
+        E = E @ E
     return E
 
 
-def _taylor_terms(A: np.ndarray) -> list[int]:
-    """Taylor terms for exp(A) x per matrix of a stack; 0 forms the exponential.
-
-    The truncation bound |A|^(k+1)/(k+1)! keeps the terms below 1e-16
-    relative up to |A|_F = 0.03, 0.15, 0.5 and 0.9 for 7, 10, 13 and 17
-    terms; the squared norms are compared against squared bounds.
-    """
-    if A.ndim == 2:
-        sq = [float(np.vdot(A, A))]
+def exp_action(D: np.ndarray, coords: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(t D) @ coords without forming the exponential when t D is small."""
+    A = t * D
+    nrm = float(np.linalg.norm(A))
+    if nrm > 0.9:
+        return _expm(A) @ coords
+    # truncation bound nrm^(k+1)/(k+1)! keeps these below 1e-16 relative
+    if nrm <= 0.03:
+        terms = 7
+    elif nrm <= 0.15:
+        terms = 10
+    elif nrm <= 0.5:
+        terms = 13
     else:
-        sq = np.add.reduce((A * A).reshape(-1, A.shape[-1] ** 2), axis=1).tolist()
-    return [7 if v <= 9e-4 else 10 if v <= 0.0225 else 13 if v <= 0.25 else 17 if v <= 0.81 else 0 for v in sq]
-
-
-def exp_action(D: np.ndarray, coords: np.ndarray, t=1.0) -> np.ndarray:
-    """exp(t D) @ coords, row by row over broadcast stacks.
-
-    D is (..., dim, dim), coords (..., dim) and t a scalar or a (...)
-    array.  Rows with a small t D sum their Taylor series on the vector;
-    the others form the exponential.
-    """
-    A = t * D if getattr(t, "ndim", 0) == 0 else t[..., None, None] * D
-    dim = A.shape[-1]
-    x = np.asarray(coords)[..., None]
-    if A.shape[:-2] != x.shape[:-2]:
-        batch = np.broadcast_shapes(A.shape[:-2], x.shape[:-2])
-        A = np.broadcast_to(A, batch + (dim, dim))
-        x = np.broadcast_to(x, batch + (dim, 1))
-    batch = A.shape[:-2]
-    terms = _taylor_terms(A)
-    low, high = min(terms), max(terms)
-    if high == 0:
-        return (_expm(A) @ x).reshape(batch + (dim,))
-    out = x.copy()
-    acc, term, rows = out, x, None
-    if low == 0:
-        A, x, out = A.reshape(-1, dim, dim), x.reshape(-1, dim, 1), out.reshape(-1, dim, 1)
-        big = np.equal(terms, 0)
-        out[big] = _expm(A[big]) @ x[big]
-        rows = ~big
-        A, term, acc = A[rows], x[rows], out[rows]
-        terms = [n for n in terms if n]
-        low = min(terms, default=high)
-    if low != high:
-        terms = np.reshape(terms, A.shape[:-2] + (1, 1))
-    for k in range(1, high + 1):
-        term = A @ term
-        term /= k
-        acc += term if k <= low else np.where(terms >= k, term, 0.0)
-    if rows is not None:
-        out[rows] = acc
-    return out.reshape(batch + (dim,))
+        terms = 17
+    acc = coords.copy()
+    term = coords
+    for k in range(1, terms + 1):
+        term = (A @ term) / k
+        acc += term
+    return acc
 
 
 class SkewCurves:
@@ -207,23 +176,46 @@ class SkewCurves:
 
     Derivations are skew in trace-form coordinates, so iD is Hermitian:
     D = -i U diag(mu) U^H and exp(t D) x = U diag(exp(-i mu t)) U^H x.
-    One batched eigendecomposition then serves every trial step of a
-    line search.  The map stays unitary whatever the size of t D, and
-    the step from x is summed in the eigenbasis, so short steps keep
-    their relative accuracy.  D is (m, dim, dim) and coords (m, dim).
+    One eigendecomposition then serves every step along a curve.  The
+    map stays unitary whatever the size of t D, and the step from x is
+    summed in the eigenbasis, so short steps keep their relative
+    accuracy.  ``eig`` is the (mu, U) of iD; coords broadcast against
+    it, so (m, dim) points on (m, dim, dim) maps give one curve per row.
     """
 
-    def __init__(self, D: np.ndarray, coords: np.ndarray):
+    def __init__(self, eig: tuple[np.ndarray, np.ndarray], coords: np.ndarray):
+        self.mu, self.U = eig
         self.x = coords.copy()
-        self.mu, self.U = np.linalg.eigh(1j * D)
-        self.z = self.U.conj().swapaxes(1, 2) @ coords[:, :, None]
+        self.z = self.U.conj().swapaxes(-1, -2) @ coords[..., None]
+
+    @classmethod
+    def of(cls, D: np.ndarray, coords: np.ndarray) -> "SkewCurves":
+        return cls(np.linalg.eigh(1j * D), coords)
 
     def at(self, t: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """(len(t), dim) points exp(t_i D_r) x_r for the selected rows r."""
-        theta = self.mu[rows] * np.asarray(t)[:, None]
+        """Points exp(t D) x for the selected rows, t broadcasting like x."""
+        theta = self.mu[rows] * np.asarray(t)[..., None]
         # exp(-i theta) - 1 without cancellation
         step = -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
-        return self.x[rows] + (self.U[rows] @ (step[:, :, None] * self.z[rows])).real[:, :, 0]
+        return self.x[rows] + (self.U[rows] @ (step[..., None] * self.z[rows])).real[..., 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_eig(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, U) of i D_j for every derivation basis map, built on first use."""
+    mu, U = np.linalg.eigh(1j * derivation_basis(spec).stack)
+    mu.setflags(write=False)
+    U.setflags(write=False)
+    return mu, U
+
+
+def basis_curve_points(basis: DerivationBasis, coords: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(m, k, dim) points exp(t_r D_j) x_r along every basis curve.
+
+    coords is an (m, dim) stack and t an (m,) array of steps.
+    """
+    curves = SkewCurves(_basis_eig(basis.algebra), coords[:, None, :])
+    return curves.at(np.asarray(t)[:, None])
 
 
 def multiplicativity_residual(spec: AlgebraSpec, X: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from .algebra import (
 )
 from .liegroup import (
     SkewCurves,
+    basis_curve_points,
     derivation_basis,
     exp_action,
     random_automorphism,
@@ -534,15 +535,16 @@ def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np
 
     Forward differences of the pairing along each basis curve, off the
     already-computed center pairing, symmetrized (the O(h) skew part
-    cancels); the k probes of every refreshed row are one stacked
-    exponential and one stacked subgradient call.  Returns the mask of
-    rows that failed, already recorded in ``st``.
+    cancels); the k probes of every refreshed row come from the cached
+    eigendecomposition of the basis maps, and take one stacked
+    subgradient call.  Returns the mask of rows that failed, already
+    recorded in ``st``.
     """
     k, dim = basis.dimension, basis.algebra.dim
     rows = np.flatnonzero(refresh)
     c = st["c"][rows]
     h = 1e-5 * (1.0 + np.sqrt(np.add.reduce(c * c, axis=1)))
-    probes = exp_action(basis.stack, c[:, None, :], h[:, None]).reshape(-1, dim)
+    probes = basis_curve_points(basis, c, h).reshape(-1, dim)
     g, errors = _evaluate(grad, probes, probes.shape, params.fd_step)
     up = (tangent_stack(basis, probes) @ g[:, :, None])[:, :, 0].reshape(-1, k, k)
     H = (up - beta[rows][:, None, :]) / h[:, None, None]
@@ -579,7 +581,7 @@ def _armijo(val, D, c, fc, t, slope, newton):
     pend = np.arange(n)
     noise = STALL_ULPS * np.finfo(float).eps * np.abs(fc)
     floor = newton & (np.abs(slope) <= noise)
-    curves = SkewCurves(D, c)
+    curves = SkewCurves.of(D, c)
     for _ in range(MAX_HALVINGS):
         ct = curves.at(t[pend], pend)
         ft, errs = _evaluate(val, ct, (len(pend),))
@@ -592,7 +594,7 @@ def _armijo(val, D, c, fc, t, slope, newton):
         c[hit], fc[hit] = ct[ok], ft[ok]
         accepted[hit] = True
         miss = pend[~ok]
-        stall = floor[miss]
+        stall = floor[miss] & ~errored[miss]
         stalled[miss[stall]] = True
         pend = miss[~(stall | errored[miss])]
         if not len(pend):
@@ -836,6 +838,14 @@ def _spread_start(fset: FeasibleSet, rng: np.random.Generator) -> Element:
     return X.apply(combine(canonical_frame(spec), u))
 
 
+def _attempt(solve, *args):
+    """solve(*args), or the AlgebraError it raised."""
+    try:
+        return solve(*args)
+    except AlgebraError as exc:
+        return exc
+
+
 def multistart(
     obj: Objective,
     fset: FeasibleSet,
@@ -861,41 +871,26 @@ def multistart(
             x0s.append(_spread_start(fset, rng))
         else:
             x0s.append(_random_start(fset, rng))
-    failures: list[tuple[int, AlgebraError]] = []
-    solved: dict[int, OptResult | _Solve] = {}
+    # each start's OptResult, or the AlgebraError that failed it
     if fset.variant == "orbit":
         basis = _orbit_basis(obj, fset)
-        rows = {}
-        for i, x0 in enumerate(x0s):
-            try:
-                rows[i] = _orbit_start(fset, x0, params)
-            except AlgebraError as exc:
-                failures.append((i, exc))
-        if rows:
-            outs = _orbit_lockstep(obj, basis, np.stack(list(rows.values())), params)
-            for i, out in zip(rows, outs):
-                if isinstance(out, AlgebraError):
-                    failures.append((i, out))
-                else:
-                    solved[i] = out
+        outcomes = [_attempt(_orbit_start, fset, x0, params) for x0 in x0s]
+        live = [i for i, out in enumerate(outcomes) if not isinstance(out, AlgebraError)]
+        if live:
+            solves = _orbit_lockstep(obj, basis, np.stack([outcomes[i] for i in live]), params)
+            for i, row in zip(live, solves):
+                outcomes[i] = row if isinstance(row, AlgebraError) else _attempt(_finish, obj, row, params)
     else:
-        for i, x0 in enumerate(x0s):
-            try:
-                solved[i] = spectralbox_descent(obj, fset, x0, params)
-            except AlgebraError as exc:
-                failures.append((i, exc))
-    while solved:
-        best = None
-        for i, res in solved.items():
-            if best is None or sgn * res.value < sgn * solved[best].value:
-                best = i
-        res = solved.pop(best)
-        if isinstance(res, _Solve):
-            try:
-                res = _finish(obj, res, params)
-            except AlgebraError as exc:
-                failures.append((best, exc))
-                continue
-        return replace(res, start_index=best)
-    last = max(failures, key=lambda f: f[0])[1]
-    raise AlgebraError(f"all {starts} starts failed: {last}")
+        outcomes = [_attempt(spectralbox_descent, obj, fset, x0, params) for x0 in x0s]
+    best: OptResult | None = None
+    failures: list[AlgebraError] = []
+    for i, res in enumerate(outcomes):
+        if isinstance(res, AlgebraError):
+            failures.append(res)
+            continue
+        res = replace(res, start_index=i)
+        if best is None or sgn * res.value < sgn * best.value:
+            best = res
+    if best is None:
+        raise AlgebraError(f"all {starts} starts failed: {failures[-1]}")
+    return best

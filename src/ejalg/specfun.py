@@ -38,8 +38,8 @@ MAJORIZE_TOL = 1e-10
 class SymmetricFunction:
     """Permutation-invariant f: R^k -> R with convexity metadata.
 
-    With ``stacked`` set, value and subgrad also map a (..., k) stack
-    row by row, returning (...) values and (..., k) subgradients.
+    value and subgrad also map a (..., k) stack row by row, returning
+    (...) values and (..., k) subgradients.
     """
 
     name: str
@@ -49,7 +49,6 @@ class SymmetricFunction:
     is_strictly_convex: bool
     is_norm: bool
     is_strictly_convex_norm: bool
-    stacked: bool = False
 
 
 def schatten(p: float) -> SymmetricFunction:
@@ -83,7 +82,6 @@ def schatten(p: float) -> SymmetricFunction:
         is_strictly_convex=False,
         is_norm=True,
         is_strictly_convex_norm=p > 1.0,
-        stacked=True,
     )
 
 
@@ -102,7 +100,6 @@ def sumsq() -> SymmetricFunction:
         is_strictly_convex=True,
         is_norm=False,
         is_strictly_convex_norm=False,
-        stacked=True,
     )
 
 
@@ -124,7 +121,6 @@ def kappa_function() -> SymmetricFunction:
         is_strictly_convex=False,
         is_norm=False,
         is_strictly_convex_norm=False,
-        stacked=True,
     )
 
 
@@ -157,26 +153,18 @@ def spectral_value(F: SpectralFunction, x: Element) -> float:
     return float(F.f.value(_eigvals(F.algebra, x.coords)))
 
 
-def _rowwise(fn, u: np.ndarray, stacked: bool) -> np.ndarray:
-    """fn on each row of a (..., k) stack; a stacked fn takes it whole."""
-    if stacked:
-        return np.asarray(fn(u), dtype=float)
-    flat = np.array([fn(row) for row in u.reshape(-1, u.shape[-1])], dtype=float)
-    return flat.reshape(u.shape[:-1] + flat.shape[1:])
-
-
 def spectral_value_coords(F: SpectralFunction, c: np.ndarray):
     """spectral_value on raw coordinates, per row of a (..., dim) stack."""
     lam = _eigvals(F.algebra, c)
     if c.ndim == 1:
         return float(F.f.value(lam))
-    return _rowwise(F.f.value, lam, F.f.stacked)
+    return np.asarray(F.f.value(lam), dtype=float)
 
 
 def spectral_subgrad_coords(F: SpectralFunction, c: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
     """Block-averaged spectral subgradient per row of a (..., dim) stack."""
     lam, rows = _decompose_rows(F.algebra, c)
-    g = _rowwise(F.f.subgrad, lam, F.f.stacked)
+    g = np.asarray(F.f.subgrad(lam), dtype=float)
     # vectorized gap test; only rows with ties average their blocks
     close = lam[..., :-1] - lam[..., 1:] <= tol * (1.0 + np.abs(lam[..., :1]))
     if close.any():

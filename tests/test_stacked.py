@@ -21,7 +21,7 @@ from ejalg import (
     sumsq,
 )
 from ejalg.algebra import _decompose_rows, _eigvals, canonical_frame, multiplicity_blocks
-from ejalg.liegroup import SkewCurves, exp_action
+from ejalg.liegroup import SkewCurves, basis_curve_points, exp_action
 from ejalg.optimize import _random_start, membership
 from ejalg.specfun import spectral_subgrad_coords, spectral_value_coords
 
@@ -112,36 +112,20 @@ def test_spectral_value_and_subgradient_match_one_row_calls(name, f):
         _close(subs[i], spectral_subgrad_coords(F, x))
 
 
-def test_row_loop_for_a_symmetric_function_without_stack_support():
-    spec = parse_algebra("sym:3")
-    plain = type(sumsq())(
-        name="plain", value=lambda u: float(np.sum(u**2)), subgrad=lambda u: 2.0 * np.asarray(u),
-        is_convex=True, is_strictly_convex=True, is_norm=False, is_strictly_convex_norm=False,
-    )
-    X = _hostile_stack(spec, np.random.default_rng(3))
-    _close(spectral_value_coords(SpectralFunction(plain, spec), X), spectral_value_coords(SpectralFunction(sumsq(), spec), X))
-    _close(spectral_subgrad_coords(SpectralFunction(plain, spec), X), spectral_subgrad_coords(SpectralFunction(sumsq(), spec), X))
-
-
 @pytest.mark.parametrize("name", ["sym:3", "spin:4", "prod(sym:3,spin:4)"])
-def test_exp_action_per_row_maps_and_steps(name):
+def test_basis_curve_points_match_exp_action(name):
+    # the Hessian probes: every basis map against every row, each row with its own step
     spec = parse_algebra(name)
     basis = derivation_basis(spec)
-    rng = np.random.default_rng(4)
-    t = np.array([0.0, 1e-6, 0.02, 0.1, 0.4, 0.8, 1.5, 7.0])
-    D = np.stack([np.tensordot(rng.standard_normal(basis.dimension), basis.stack, axes=(0, 0)) for _ in t])
-    D /= np.linalg.norm(D, axis=(1, 2), keepdims=True)
-    X = rng.standard_normal((len(t), spec.dim))
-    out = exp_action(D, X, t)
-    for i in range(len(t)):
-        _close(out[i], exp_action(D[i], X[i], t[i]))
-    # the basis probes broadcast: (k, dim, dim) maps against (m, 1, dim) points
-    h = np.array([1e-5, 2e-5])
-    probes = exp_action(basis.stack, X[:2, None, :], h[:, None])
-    assert probes.shape == (2, basis.dimension, spec.dim)
-    for r in range(2):
+    X = np.random.default_rng(4).standard_normal((3, spec.dim))
+    h = np.array([1e-5, 2e-5, 0.3])
+    probes = basis_curve_points(basis, X, h)
+    assert probes.shape == (3, basis.dimension, spec.dim)
+    for r in range(3):
         for j in range(basis.dimension):
             _close(probes[r, j], exp_action(basis.stack[j], X[r], h[r]))
+        # a row's probes do not depend on the rest of the stack
+        assert np.array_equal(basis_curve_points(basis, X[r : r + 1], h[r : r + 1])[0], probes[r])
 
 
 @pytest.mark.parametrize("name", ["sym:3", "spin:5", "prod(sym:3,spin:4)"])
@@ -152,7 +136,7 @@ def test_skew_curves_match_exp_action_and_stay_on_the_orbit(name):
     scales = np.array([1e-6, 1.0, 10.0, 3e4])
     D = np.stack([s * np.tensordot(rng.standard_normal(basis.dimension), basis.stack, axes=(0, 0)) for s in scales])
     X = rng.standard_normal((len(scales), spec.dim))
-    curves = SkewCurves(D, X)
+    curves = SkewCurves.of(D, X)
     for t in (np.full(4, 1e-9), np.array([1.0, 0.3, 0.05, 1.0])):
         got = curves.at(t)
         for i in range(4):
@@ -174,7 +158,7 @@ def test_skew_curves_keep_slow_rotations_beside_fast_ones():
     D[2, 1], D[4, 3] = 1.0, 1e4
     D = R @ (D - D.T) @ R.T
     x = np.random.default_rng(8).standard_normal(5)
-    got = SkewCurves(D[None], x[None]).at(np.array([1.0]))[0]
+    got = SkewCurves.of(D[None], x[None]).at(np.array([1.0]))[0]
     _close(_eigvals(spec, got), _eigvals(spec, x), 1e-15 * np.linalg.norm(D) * spec.dim)
 
 
@@ -328,3 +312,29 @@ def test_raising_row_objective_fails_only_its_start():
     assert res.start_index != 2
     ok, _ = membership(fset, res.x)
     assert ok
+
+
+def test_raising_row_in_the_rounding_floor_fails_its_start():
+    # the stall objective of test_status_stalled, refusing the trial points
+    # next to one start: that start fails instead of stalling
+    spec, a, b, F = _shift_problem()
+    fset = orbit(b)
+    x2 = _random_start(fset, np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(2,))))
+    true = shifted_spectral(F, a)
+
+    def value_c(c):
+        if 0.0 < np.linalg.norm(c - x2.coords) < 1e-3:
+            raise AlgebraError("refused")
+        return true.value_c(c)
+
+    obj = Objective(
+        label="stall", algebra=spec, sense="min", value=true.value,
+        value_c=value_c, subgrad_c=lambda c: -1e-16 * true.subgrad_c(c),
+    )
+    params = SolverParams(tol=0.0)
+    with pytest.raises(AlgebraError, match="refused"):
+        orbit_descent(obj, fset, x2, params)
+    assert orbit_descent(obj, fset, params=params).status == "stalled"
+    res = multistart(obj, fset, params, starts=4, seed=5)
+    assert res.start_index != 2
+    assert res.status == "stalled"
