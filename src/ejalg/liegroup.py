@@ -20,9 +20,7 @@ from .algebra import (
     AlgebraError,
     AlgebraSpec,
     Element,
-    frobenius_inner,
     lyapunov_basis_stack,
-    lyapunov_map,
     norm,
 )
 from . import algebra as _alg
@@ -33,12 +31,6 @@ RANK_TOL = 1e-9
 DERIVATION_TOL = 1e-8
 EXP_SCALE_THRESHOLD = 0.5
 _TAYLOR_ORDER = 13
-
-
-def commutator_derivation(u: Element, v: Element) -> np.ndarray:
-    """[L_u, L_v], always a derivation."""
-    Lu, Lv = lyapunov_map(u), lyapunov_map(v)
-    return Lu @ Lv - Lv @ Lu
 
 
 @dataclass(frozen=True)
@@ -117,11 +109,10 @@ def is_derivation(spec: AlgebraSpec, D: np.ndarray, tol: float = DERIVATION_TOL)
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Orthogonal algebra automorphism with its multiplicativity defect."""
+    """Orthogonal algebra automorphism."""
 
     algebra: AlgebraSpec
     matrix: np.ndarray
-    residual: float
 
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
@@ -129,7 +120,7 @@ class Automorphism:
         return Element(self.algebra, self.matrix @ x.coords)
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.algebra, self.matrix.T.copy(), self.residual)
+        return Automorphism(self.algebra, self.matrix.T.copy())
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -235,8 +226,7 @@ def exp_derivation(
         raise AlgebraError(f"map shape {D.shape} does not match dim {spec.dim}")
     if validate and not is_derivation(spec, D):
         raise AlgebraError("input map violates the Leibniz rule")
-    X = _expm(t * D)
-    return Automorphism(spec, X, multiplicativity_residual(spec, X))
+    return Automorphism(spec, _expm(t * D))
 
 
 def random_derivation(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
@@ -273,11 +263,17 @@ def tangent_stack(basis: DerivationBasis, coords: np.ndarray) -> np.ndarray:
     return flat.reshape(coords.shape[:-1] + (k, dim))
 
 
-def orbit_tangent(x: Element, basis: DerivationBasis | None = None) -> list[Element]:
-    """Tangent directions D_k x to the automorphism orbit at x."""
-    if basis is None:
-        basis = derivation_basis(x.algebra)
-    return [Element(x.algebra, row) for row in tangent_stack(basis, x.coords)]
+def orbit_is_connected(spec: AlgebraSpec) -> bool:
+    """Whether automorphism curves exp(t D) reach every element of a spectrum.
+
+    The orbit solvers sweep only the identity component of the
+    automorphism group.  In a factor of rank >= 2 it is transitive on
+    Jordan frames exactly when the factor has derivations; rn:n (n >= 2)
+    and spin:2 have none, so their eigenvalue orbits, and those of
+    products with such a factor, split into isolated points.
+    """
+    factors = spec.factors if spec.kind == "prod" else (spec,)
+    return all(f.rank == 1 or derivation_basis(f).dimension > 0 for f in factors)
 
 
 def commutes_via_derivations(a: Element, b: Element, tol: float = _alg.TIE_TOL) -> tuple[bool, float]:

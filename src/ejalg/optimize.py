@@ -12,7 +12,7 @@ independent route the verification suites compare against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -51,13 +51,15 @@ KAPPA_SAFE = 1e-10
 # current value cannot be told apart from rounding in the value itself;
 # spectral values carry the rounding of every eigenvalue, several ulps
 STALL_ULPS = 16.0
+# relative eigenvalue residual a caller-given start may carry and still
+# count as a point of the feasible set
+START_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverParams:
     max_iters: int = 400
     tol: float = 1e-8
-    feas_tol: float = 1e-8
     fd_step: float = 1e-6
 
 
@@ -294,22 +296,6 @@ def kappa_shift(a: Element, sense: str = "min") -> Objective:
         anchors=(("shift_a", a),),
         value_c=value_c,
     )
-
-
-def fd_gradient(value: Callable[[Element], float], x: Element, h: float) -> Element:
-    """Central finite-difference gradient in orthonormal coordinates."""
-    spec = x.algebra
-    c = x.coords
-    g = np.zeros(spec.dim)
-    for i in range(spec.dim):
-        e = np.zeros(spec.dim)
-        e[i] = h
-        up = value(Element(spec, c + e))
-        dn = value(Element(spec, c - e))
-        if not (np.isfinite(up) and np.isfinite(dn)):
-            raise AlgebraError("objective not finite near x; cannot differentiate")
-        g[i] = (up - dn) / (2.0 * h)
-    return Element(spec, g)
 
 
 def _signed(obj: Objective):
@@ -605,15 +591,11 @@ def _armijo(val, D, c, fc, t, slope, newton):
 
 def _finish(obj: Objective, row: _Solve, params: SolverParams) -> OptResult:
     """The OptResult of one finished start, with its commutation diagnostics."""
-    spec = obj.algebra
-    xbar = Element(spec, row.c)
-    if obj.subgrad_c is not None:
-        g_el = _make(spec, np.asarray(obj.subgrad_c(row.c), dtype=float))
-    elif obj.subgradient is not None:
-        g_el = obj.subgradient(xbar)
-    else:
-        sgn, _, grad = _signed(obj)
-        g_el = Element(spec, sgn * grad(row.c, params.fd_step))
+    xbar = Element(obj.algebra, row.c)
+    # grad is sgn times the objective's own subgradient, so this undoes
+    # the sign exactly; Element rejects a subgradient that is not finite
+    sgn, _, grad = _signed(obj)
+    g_el = Element(obj.algebra, sgn * grad(row.c, params.fd_step))
     return OptResult(
         xbar, row.value, row.iterations, row.stationarity, _diagnostics(obj, xbar, g_el, TIE_TOL), row.status
     )
@@ -627,10 +609,10 @@ def _orbit_basis(obj: Objective, fset: FeasibleSet):
     return derivation_basis(obj.algebra)
 
 
-def _orbit_start(fset: FeasibleSet, x0: Element | None, params: SolverParams) -> np.ndarray:
+def _orbit_start(fset: FeasibleSet, x0: Element | None) -> np.ndarray:
     if x0 is None:
         return fset.anchor.coords
-    ok, r = membership(fset, x0, tol=max(params.feas_tol, 1e-6))
+    ok, r = membership(fset, x0, tol=START_TOL)
     if not ok:
         raise AlgebraError(f"x0 off the orbit (residual {r:.2e})")
     return x0.coords
@@ -651,7 +633,7 @@ def orbit_descent(
     core that ``multistart`` runs over all its starts at once.
     """
     basis = _orbit_basis(obj, fset)
-    start = _orbit_start(fset, x0, params)
+    start = _orbit_start(fset, x0)
     (row,) = _orbit_lockstep(obj, basis, start[None], params)
     if isinstance(row, AlgebraError):
         raise row
@@ -746,7 +728,7 @@ def spectralbox_descent(
         u0 = project_sorted_box(np.zeros(spec.rank), lo, hi)
         x0 = combine(canonical_frame(spec), u0)
     else:
-        ok, r = membership(fset, x0, tol=max(params.feas_tol, 1e-6))
+        ok, r = membership(fset, x0, tol=START_TOL)
         if not ok:
             raise AlgebraError(f"x0 outside the box (residual {r:.2e})")
     sgn, val, grad = _signed(obj)
@@ -874,7 +856,7 @@ def multistart(
     # each start's OptResult, or the AlgebraError that failed it
     if fset.variant == "orbit":
         basis = _orbit_basis(obj, fset)
-        outcomes = [_attempt(_orbit_start, fset, x0, params) for x0 in x0s]
+        outcomes = [_attempt(_orbit_start, fset, x0) for x0 in x0s]
         live = [i for i, out in enumerate(outcomes) if not isinstance(out, AlgebraError)]
         if live:
             solves = _orbit_lockstep(obj, basis, np.stack([outcomes[i] for i in live]), params)

@@ -252,13 +252,20 @@ def check_strict_schur(
 ) -> dict:
     """Strict Schur convexity probe for strictly convex symmetric f.
 
+    See ``strict_schur_probe``; this entry point draws from its own seed.
+    """
+    if not f.is_strictly_convex:
+        raise ValueError(f"{f.name} is not strictly convex")
+    return strict_schur_probe(f, trials, np.random.default_rng(seed), n)
+
+
+def strict_schur_probe(f: SymmetricFunction, trials: int, rng: np.random.Generator, n: int = 5) -> dict:
+    """Count strict majorizations u < v on which f(u) < f(v) fails.
+
     Draws v, averages it under a few random permutations to get a strict
     majorization u < v (resampling when the orbits coincide), and checks
     f(u) < f(v).  Returns trial count, violations, and the worst margin.
     """
-    if not f.is_strictly_convex:
-        raise ValueError(f"{f.name} is not strictly convex")
-    rng = np.random.default_rng(seed)
     done = violations = 0
     min_margin = np.inf
     while done < trials:

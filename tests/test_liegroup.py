@@ -27,6 +27,7 @@ from ejalg.liegroup import (
     exp_action,
     leibniz_residual,
     multiplicativity_residual,
+    orbit_is_connected,
     tangent_stack,
 )
 
@@ -79,6 +80,23 @@ def test_exp_derivation_is_automorphism(name):
     assert norm(X.apply(unit(spec)) - unit(spec)) <= 1e-10
     x = random_element(spec, rng)
     assert np.allclose(eigenvalue_map(X.apply(x)), eigenvalue_map(x), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, connected",
+    [
+        ("rn:1", True),
+        ("rn:3", False),
+        ("spin:2", False),
+        ("spin:3", True),
+        ("sym:2", True),
+        ("prod(rn:1,sym:2)", True),
+        ("prod(rn:2,sym:2)", False),
+        ("prod(sym:3,spin:4)", True),
+    ],
+)
+def test_orbit_is_connected(name, connected):
+    assert orbit_is_connected(parse_algebra(name)) is connected
 
 
 def test_exp_derivation_rejects_non_derivation():

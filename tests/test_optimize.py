@@ -14,7 +14,6 @@ from ejalg import (
     SpectralFunction,
     combine,
     eigenvalue_map,
-    inner,
     kappa_shift,
     linear_plus_spectral,
     multistart,
@@ -35,7 +34,7 @@ from ejalg import (
     sumsq,
     unit,
 )
-from ejalg.optimize import fd_gradient, membership
+from ejalg.optimize import membership
 
 
 def _frame_element(spec_name, values, seed=0):
@@ -111,14 +110,6 @@ def test_membership_box():
 
 
 # -- objectives ---------------------------------------------------------------
-
-
-def test_fd_gradient_matches_closed_form():
-    spec = parse_algebra("sym:3")
-    rng = np.random.default_rng(2)
-    x = random_element(spec, rng)
-    g = fd_gradient(lambda y: 0.5 * inner(y, y), x, 1e-6)
-    assert norm(g - x) <= 1e-6 * (1.0 + norm(x))
 
 
 def test_kappa_shift_guards_domain():

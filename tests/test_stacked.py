@@ -294,6 +294,21 @@ def test_every_start_non_finite_is_an_error():
         multistart(obj, orbit(b), SolverParams(), starts=3, seed=0)
 
 
+def test_non_finite_subgradient_at_the_solution_fails():
+    # rn:3 has no derivations, so the solve ends at iteration 0 without a
+    # subgradient call; the commutation diagnostics meet the NaN first
+    spec = parse_algebra("rn:3")
+    b = random_element(spec, np.random.default_rng(0))
+    obj = Objective(
+        label="nan", algebra=spec, sense="max", value=lambda x: 0.0,
+        value_c=lambda c: float(c @ c), subgrad_c=lambda c: np.full(c.shape, np.nan),
+    )
+    with pytest.raises(AlgebraError, match="finite"):
+        orbit_descent(obj, orbit(b))
+    with pytest.raises(AlgebraError, match="all 2 starts failed"):
+        multistart(obj, orbit(b), starts=2)
+
+
 def test_raising_row_objective_fails_only_its_start():
     spec, a, b, F = _shift_problem()
     fset = orbit(b)

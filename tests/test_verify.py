@@ -27,6 +27,7 @@ from ejalg import (
     verify_shifted_principle,
     verify_smooth_principle,
 )
+from ejalg.verify import SUITES
 
 SYM3 = parse_algebra("sym:3")
 
@@ -88,6 +89,18 @@ def test_run_suite_dispatch():
     rep = run_suite("normalcone", small(trials=2))
     assert rep.suite == "normalcone"
     assert rep.algebra == "sym:3"
+
+
+@pytest.mark.parametrize("name", SUITES)
+@pytest.mark.parametrize("algebra", ["sym:2", "rn:3"])
+def test_report_counts_match_records(name, algebra):
+    rep = run_suite(name, small(algebra, trials=1))
+    statuses = [r["status"] for r in rep.records]
+    assert rep.trials == len(rep.records)
+    assert rep.skips == statuses.count("skip")
+    # normalcone adds one violation when its negative control rate fails
+    control = name == "normalcone" and any("below" in n for n in rep.notes)
+    assert rep.violations == statuses.count("violation") + control
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +180,16 @@ def test_shifted_suite_on_product():
     assert rep.passed
 
 
+@pytest.mark.parametrize("name", ["rn:3", "spin:2", "prod(rn:2,sym:2)"])
+def test_shifted_suite_skips_disconnected_orbits(name):
+    # the solver cannot reach the whole eigenvalue orbit the oracle
+    # enumerates, so a value gap there would be a false violation
+    rep = verify_shifted_principle(small(name, trials=2))
+    assert rep.passed
+    assert rep.skips == 2
+    assert all(r["reason"] == "orbit not connected" for r in rep.records)
+
+
 def test_normalcone_suite_passes():
     rep = verify_normal_cone(small(trials=3))
     assert rep.passed
@@ -201,6 +224,11 @@ def test_demo_kappa_reference_only_for_rank3():
     assert ref[0]["oracle_gap"] <= 1e-4
     rep = demo_kappa(small("rn:4", trials=2), eps=0.5)
     assert not any(r["trial"] == "reference" for r in rep.records)
+    # rank 3, but the box solver's frame curves cannot reorder rn:3
+    rep = demo_kappa(small("rn:3", trials=1), eps=0.5)
+    assert rep.passed
+    assert not any(r["trial"] == "reference" for r in rep.records)
+    assert "no reference: orbit not connected" in rep.notes
 
 
 def test_demo_kappa_never_increases():
