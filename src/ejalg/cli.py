@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -33,32 +34,19 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _report_dict(rep: SuiteReport) -> dict:
+def _record(config: dict, **body) -> dict:
+    """A JSON record: the common header, then the command's own fields."""
     return {
-        "suite": rep.suite,
-        "algebra": rep.algebra,
-        "trials": rep.trials,
-        "violations": rep.violations,
-        "skips": rep.skips,
-        "worst": dict(rep.worst),
-        "records": list(rep.records),
-        "notes": list(rep.notes),
+        "schema": 1,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "tool": {"name": "ejalg", "version": __version__},
+        "config": config,
+        **body,
     }
 
 
 def run_record(config: dict, reports: list[SuiteReport]) -> dict:
-    return {
-        "schema": 1,
-        "timestamp": _timestamp(),
-        "tool": {"name": "ejalg", "version": __version__},
-        "config": config,
-        "suites": [_report_dict(r) for r in reports],
-        "passed": all(r.passed for r in reports),
-    }
+    return _record(config, suites=[dataclasses.asdict(r) for r in reports], passed=all(r.passed for r in reports))
 
 
 def _write_json(record: dict, path: str | None) -> None:
@@ -85,10 +73,10 @@ def _write_csv(record: dict, path: str) -> None:
 
 
 def _print_summary(reports: list[SuiteReport]) -> None:
-    print(f"{'suite':<12} {'algebra':<22} {'trials':>6} {'violations':>10} {'worst':>10}")
+    print(f"{'suite':<12} {'algebra':<22} {'trials':>6} {'violations':>10} {'skips':>6} {'worst':>10}")
     for rep in reports:
         worst = max(rep.worst.values(), default=0.0)
-        print(f"{rep.suite:<12} {rep.algebra:<22} {rep.trials:>6} {rep.violations:>10} {worst:>10.2e}")
+        print(f"{rep.suite:<12} {rep.algebra:<22} {rep.trials:>6} {rep.violations:>10} {rep.skips:>6} {worst:>10.2e}")
 
 
 def _load_element(spec, text: str, rng: np.random.Generator) -> Element:
@@ -193,38 +181,33 @@ def cmd_solve(args) -> int:
     except AlgebraError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return FAILURE
-    record = {
-        "schema": 1,
-        "timestamp": _timestamp(),
-        "tool": {"name": "ejalg", "version": __version__},
-        "config": {
-            "algebra": args.algebra,
-            "objective": args.objective,
-            "shift": args.shift,
-            "orbit": args.orbit,
-            "box": args.box,
-            "sense": args.sense,
-            "starts": args.starts,
-            "max_iters": args.max_iters,
-            "tol": args.tol,
-            "seed": args.seed,
-            "oracle": bool(args.oracle),
-        },
-        "result": {
-            "algebra": str(spec),
-            "coords": [float(v) for v in res.x.coords],
-            "value": float(res.value),
-            "iterations": res.iterations,
-            "stationarity": float(res.stationarity),
-            "status": res.status,
-            "start_index": res.start_index,
-            "commutation": {name: float(r) for name, r in res.diagnostics.pairs},
-        },
+    config = {
+        "algebra": args.algebra,
+        "objective": args.objective,
+        "shift": args.shift,
+        "orbit": args.orbit,
+        "box": args.box,
+        "sense": args.sense,
+        "starts": args.starts,
+        "max_iters": args.max_iters,
+        "tol": args.tol,
+        "seed": args.seed,
+        "oracle": bool(args.oracle),
+    }
+    result = {
+        "algebra": str(spec),
+        "coords": [float(v) for v in res.x.coords],
+        "value": float(res.value),
+        "iterations": res.iterations,
+        "stationarity": float(res.stationarity),
+        "status": res.status,
+        "start_index": res.start_index,
+        "commutation": {name: float(r) for name, r in res.diagnostics.pairs},
     }
     print(f"value {res.value:.9g}  status {res.status}  stationarity {res.stationarity:.2e}")
     for name, r in res.diagnostics.pairs:
         print(f"  commutation[{name}] = {r:.2e}")
-    _write_json(record, args.out)
+    _write_json(_record(config, result=result), args.out)
     return 0
 
 

@@ -217,16 +217,14 @@ def multiplicativity_residual(spec: AlgebraSpec, X: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
 
 
-def exp_derivation(
-    spec: AlgebraSpec, D: np.ndarray, t: float = 1.0, validate: bool = True
-) -> Automorphism:
-    """exp(t D) as an Automorphism; rejects non-derivations."""
+def exp_derivation(spec: AlgebraSpec, D: np.ndarray, validate: bool = True) -> Automorphism:
+    """exp(D) as an Automorphism; rejects non-derivations."""
     D = np.asarray(D, dtype=float)
     if D.shape != (spec.dim, spec.dim):
         raise AlgebraError(f"map shape {D.shape} does not match dim {spec.dim}")
     if validate and not is_derivation(spec, D):
         raise AlgebraError("input map violates the Leibniz rule")
-    return Automorphism(spec, _expm(t * D))
+    return Automorphism(spec, _expm(D))
 
 
 def random_derivation(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
@@ -239,8 +237,8 @@ def random_derivation(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray
     return np.tensordot(coeffs, basis.stack, axes=(0, 0))
 
 
-def random_automorphism(spec: AlgebraSpec, rng: np.random.Generator, scale: float = 1.0) -> Automorphism:
-    return exp_derivation(spec, scale * random_derivation(spec, rng), validate=False)
+def random_automorphism(spec: AlgebraSpec, rng: np.random.Generator) -> Automorphism:
+    return exp_derivation(spec, random_derivation(spec, rng), validate=False)
 
 
 def project_perp_derivations(spec: AlgebraSpec, H: np.ndarray) -> np.ndarray:

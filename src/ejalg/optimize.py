@@ -31,7 +31,6 @@ from .algebra import (
     _decompose_rows,
     _eigvals,
     _factor_slices,
-    _make,
 )
 from .liegroup import (
     SkewCurves,
@@ -54,13 +53,15 @@ STALL_ULPS = 16.0
 # relative eigenvalue residual a caller-given start may carry and still
 # count as a point of the feasible set
 START_TOL = 1e-6
+# relative step of the central differences that stand in for a missing
+# subgradient, and of the box solver's eigenvalue gradient
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverParams:
     max_iters: int = 400
     tol: float = 1e-8
-    fd_step: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -160,10 +161,9 @@ class CommutationReport:
     """Named commutation residuals measured at a solution."""
 
     pairs: tuple[tuple[str, float], ...]
-    tol: float = TIE_TOL
 
     def ok(self) -> bool:
-        return all(r <= self.tol for _, r in self.pairs)
+        return all(r <= TIE_TOL for _, r in self.pairs)
 
     def worst(self) -> float:
         return max((r for _, r in self.pairs), default=0.0)
@@ -190,32 +190,38 @@ class OptResult:
 
 @dataclass(frozen=True)
 class Objective:
-    """Value/subgradient pair with a sense and diagnostic anchors.
+    """Value and subgradient on coordinates, with a sense and diagnostic anchors.
 
-    ``subgradient`` may be None, in which case solvers fall back to
-    central finite differences.  ``smooth`` hints whether a Newton
-    endgame is worthwhile; nonsmooth objectives use plain subgradient
-    steps.  ``stacked`` marks ``value_c``/``subgrad_c`` that also map an
-    (m, dim) stack row by row to (m,) values and (m, dim) subgradients;
-    solvers evaluate other objectives one row at a time.
+    Solvers read only ``value_c`` and ``subgrad_c``; a missing
+    ``subgrad_c`` means central finite differences.  ``smooth`` hints
+    whether a Newton endgame is worthwhile; nonsmooth objectives use
+    plain subgradient steps.  ``stacked`` marks ``value_c``/``subgrad_c``
+    that also map an (m, dim) stack row by row to (m,) values and
+    (m, dim) subgradients; solvers evaluate other objectives one row at
+    a time.  ``value`` and ``subgradient`` are their Element views,
+    derived when not given; the derived subgradient rejects a result
+    that is not finite.
     """
 
     label: str
     algebra: AlgebraSpec
     sense: str
-    value: Callable[[Element], float]
-    subgradient: Callable[[Element], Element] | None = None
+    value_c: Callable[[np.ndarray], float]
+    subgrad_c: Callable[[np.ndarray], np.ndarray] | None = None
     smooth: bool = True
     anchors: tuple[tuple[str, Element], ...] = ()
-    # optional raw-coordinate twins of value/subgradient; solvers prefer
-    # them because the inner loops never need Element wrappers
-    value_c: Callable[[np.ndarray], float] | None = None
-    subgrad_c: Callable[[np.ndarray], np.ndarray] | None = None
     stacked: bool = False
+    value: Callable[[Element], float] | None = None
+    subgradient: Callable[[Element], Element] | None = None
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise AlgebraError(f"sense must be min or max, got {self.sense!r}")
+        spec, value_c, subgrad_c = self.algebra, self.value_c, self.subgrad_c
+        if self.value is None:
+            object.__setattr__(self, "value", lambda x: value_c(x.coords))
+        if self.subgradient is None and subgrad_c is not None:
+            object.__setattr__(self, "subgradient", lambda x: Element(spec, subgrad_c(x.coords)))
 
 
 def shifted_spectral(F: SpectralFunction, a: Element, sense: str = "min") -> Objective:
@@ -232,8 +238,6 @@ def shifted_spectral(F: SpectralFunction, a: Element, sense: str = "min") -> Obj
         label=f"{F.f.name}(x - a)",
         algebra=F.algebra,
         sense=sense,
-        value=lambda x: value_c(x.coords),
-        subgradient=lambda x: _make(F.algebra, subgrad_c(x.coords)),
         smooth=True,
         anchors=(("shift_a", a),),
         value_c=value_c,
@@ -261,8 +265,6 @@ def linear_plus_spectral(c: Element, F: SpectralFunction | None, sense: str = "m
         label=label,
         algebra=c.algebra,
         sense=sense,
-        value=lambda x: value_c(x.coords),
-        subgradient=lambda x: _make(c.algebra, subgrad_c(x.coords)),
         smooth=True,
         anchors=(("c", c),),
         value_c=value_c,
@@ -290,8 +292,6 @@ def kappa_shift(a: Element, sense: str = "min") -> Objective:
         label="kappa(x + a)",
         algebra=spec,
         sense=sense,
-        value=lambda x: value_c(x.coords),
-        subgradient=None,
         smooth=True,
         anchors=(("shift_a", a),),
         value_c=value_c,
@@ -307,20 +307,11 @@ def _signed(obj: Objective):
     """
     sgn = 1.0 if obj.sense == "min" else -1.0
     spec = obj.algebra
+    raw_val, raw_grad = obj.value_c, obj.subgrad_c
+    if raw_grad is None:
 
-    if obj.value_c is not None:
-        raw_val = obj.value_c
-    else:
-        raw_val = lambda c: obj.value(Element(spec, c))
-
-    if obj.subgrad_c is not None:
-        raw_grad = lambda c, h: obj.subgrad_c(c)
-    elif obj.subgradient is not None:
-        raw_grad = lambda c, h: obj.subgradient(Element(spec, c)).coords
-    else:
-
-        def raw_grad(c: np.ndarray, h: float) -> np.ndarray:
-            step = h * (1.0 + float(np.linalg.norm(c)))
+        def raw_grad(c: np.ndarray) -> np.ndarray:
+            step = FD_STEP * (1.0 + float(np.linalg.norm(c)))
             g = np.zeros(spec.dim)
             e = np.zeros(spec.dim)
             for i in range(spec.dim):
@@ -333,46 +324,45 @@ def _signed(obj: Objective):
                 g[i] = (up - dn) / (2.0 * step)
             return g
 
-    whole_val = obj.stacked and obj.value_c is not None
     whole_grad = obj.stacked and obj.subgrad_c is not None
 
     def val(c: np.ndarray):
-        if c.ndim == 1 or whole_val:
+        if c.ndim == 1 or obj.stacked:
             return sgn * np.asarray(raw_val(c), dtype=float)
         return sgn * np.array([raw_val(row) for row in c], dtype=float)
 
-    def grad(c: np.ndarray, h: float) -> np.ndarray:
+    def grad(c: np.ndarray) -> np.ndarray:
         if c.ndim == 1 or whole_grad:
-            return sgn * np.asarray(raw_grad(c, h), dtype=float)
-        return sgn * np.array([raw_grad(row, h) for row in c], dtype=float).reshape(c.shape)
+            return sgn * np.asarray(raw_grad(c), dtype=float)
+        return sgn * np.array([raw_grad(row) for row in c], dtype=float).reshape(c.shape)
 
     return sgn, val, grad
 
 
-def _diagnostics(obj: Objective, x: Element, g: Element | None, tol: float) -> CommutationReport:
+def _diagnostics(obj: Objective, x: Element, g: Element | None) -> CommutationReport:
     pairs = []
     for name, el in obj.anchors:
         pairs.append((name, operator_commutes(x, el)[1]))
     if g is not None:
         pairs.append(("subgradient", operator_commutes(x, g)[1]))
-    return CommutationReport(tuple(pairs), tol)
+    return CommutationReport(tuple(pairs))
 
 
-def _evaluate(fn, C: np.ndarray, shape: tuple, *args) -> tuple[np.ndarray, dict]:
-    """(fn(C, *args), errors) for an (m, dim) stack.
+def _evaluate(fn, C: np.ndarray, shape: tuple) -> tuple[np.ndarray, dict]:
+    """(fn(C), errors) for an (m, dim) stack.
 
     When the stacked call raises AlgebraError the rows are retried one
     at a time; a row that raises again comes back NaN, with its error
     under its row index in ``errors``.
     """
     try:
-        return fn(C, *args), {}
+        return fn(C), {}
     except AlgebraError as exc:
         if len(C) == 1:
             return np.full(shape, np.nan), {0: exc}
     out, errors = np.full(shape, np.nan), {}
     for i in range(len(C)):
-        row, err = _evaluate(fn, C[i : i + 1], (1,) + shape[1:], *args)
+        row, err = _evaluate(fn, C[i : i + 1], (1,) + shape[1:])
         out[i] = row[0]
         errors.update({i: e for e in err.values()})
     return out, errors
@@ -460,7 +450,7 @@ def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, params: SolverPar
         if not len(st):
             break
         c, fc = st["c"], st["fc"]
-        g, errors = _evaluate(grad, c, c.shape, params.fd_step)
+        g, errors = _evaluate(grad, c, c.shape)
         beta = (tangent_stack(basis, c) @ g[:, :, None])[:, :, 0]
         bad = ~np.isfinite(beta).all(axis=1)
         st.fail(bad, errors, "subgradient")
@@ -487,7 +477,7 @@ def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, params: SolverPar
             refresh = newton & (~st["factored"] | ~st["full_step"] | (st["age"] >= 5))
             st["age"][newton & ~refresh] += 1
             if refresh.any():
-                bad = _refresh_curvature(st, basis, grad, beta, refresh, params)
+                bad = _refresh_curvature(st, basis, grad, beta, refresh)
                 if bad.any():
                     st.keep(~bad)
                     beta, stat, newton, d = beta[~bad], stat[~bad], newton[~bad], d[~bad]
@@ -516,7 +506,7 @@ def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, params: SolverPar
     return st.out
 
 
-def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np.ndarray, params: SolverParams) -> np.ndarray:
+def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np.ndarray) -> np.ndarray:
     """New saddle-free factorizations for the rows in ``refresh``.
 
     Forward differences of the pairing along each basis curve, off the
@@ -531,7 +521,7 @@ def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np
     c = st["c"][rows]
     h = 1e-5 * (1.0 + np.sqrt(np.add.reduce(c * c, axis=1)))
     probes = basis_curve_points(basis, c, h).reshape(-1, dim)
-    g, errors = _evaluate(grad, probes, probes.shape, params.fd_step)
+    g, errors = _evaluate(grad, probes, probes.shape)
     up = (tangent_stack(basis, probes) @ g[:, :, None])[:, :, 0].reshape(-1, k, k)
     H = (up - beta[rows][:, None, :]) / h[:, None, None]
     H = 0.5 * (H + H.swapaxes(1, 2))
@@ -589,16 +579,14 @@ def _armijo(val, D, c, fc, t, slope, newton):
     return accepted, stalled, errors
 
 
-def _finish(obj: Objective, row: _Solve, params: SolverParams) -> OptResult:
+def _finish(obj: Objective, row: _Solve) -> OptResult:
     """The OptResult of one finished start, with its commutation diagnostics."""
     xbar = Element(obj.algebra, row.c)
     # grad is sgn times the objective's own subgradient, so this undoes
     # the sign exactly; Element rejects a subgradient that is not finite
     sgn, _, grad = _signed(obj)
-    g_el = Element(obj.algebra, sgn * grad(row.c, params.fd_step))
-    return OptResult(
-        xbar, row.value, row.iterations, row.stationarity, _diagnostics(obj, xbar, g_el, TIE_TOL), row.status
-    )
+    g_el = Element(obj.algebra, sgn * grad(row.c))
+    return OptResult(xbar, row.value, row.iterations, row.stationarity, _diagnostics(obj, xbar, g_el), row.status)
 
 
 def _orbit_basis(obj: Objective, fset: FeasibleSet):
@@ -637,7 +625,7 @@ def orbit_descent(
     (row,) = _orbit_lockstep(obj, basis, start[None], params)
     if isinstance(row, AlgebraError):
         raise row
-    return _finish(obj, row, params)
+    return _finish(obj, row)
 
 
 def _factor_parts(x: Element):
@@ -700,7 +688,7 @@ def permutation_oracle(
     for lb, fr, p in zip(lams_b, frames, best_assign):
         coords += lb[list(p)] @ fr
     xbar = Element(spec, coords)
-    report = CommutationReport((("shift_a", operator_commutes(xbar, a)[1]),), TIE_TOL)
+    report = CommutationReport((("shift_a", operator_commutes(xbar, a)[1]),))
     return OptResult(xbar, float(best_val), count, 0.0, report, "oracle")
 
 
@@ -742,7 +730,7 @@ def spectralbox_descent(
     for it in range(1, params.max_iters + 1):
         stat_frame = 0.0
         if basis.dimension > 0:
-            gc = grad(c, params.fd_step)
+            gc = grad(c)
             P = tangent_stack(basis, c)
             beta = P @ gc
             stat_frame = float(np.linalg.norm(beta))
@@ -762,7 +750,7 @@ def spectralbox_descent(
         def phi(w: np.ndarray) -> float:
             return val(w @ frame_rows)
 
-        h = params.fd_step * (1.0 + float(np.linalg.norm(u)))
+        h = FD_STEP * (1.0 + float(np.linalg.norm(u)))
         gu = np.zeros(spec.rank)
         for i in range(spec.rank):
             e = np.zeros(spec.rank)
@@ -789,9 +777,7 @@ def spectralbox_descent(
             status = "converged"
             break
     xbar = Element(spec, c)
-    return OptResult(
-        xbar, sgn * fc, it, stat, _diagnostics(obj, xbar, None, TIE_TOL), status
-    )
+    return OptResult(xbar, sgn * fc, it, stat, _diagnostics(obj, xbar, None), status)
 
 
 def _random_start(fset: FeasibleSet, rng: np.random.Generator) -> Element:
@@ -861,7 +847,7 @@ def multistart(
         if live:
             solves = _orbit_lockstep(obj, basis, np.stack([outcomes[i] for i in live]), params)
             for i, row in zip(live, solves):
-                outcomes[i] = row if isinstance(row, AlgebraError) else _attempt(_finish, obj, row, params)
+                outcomes[i] = row if isinstance(row, AlgebraError) else _attempt(_finish, obj, row)
     else:
         outcomes = [_attempt(spectralbox_descent, obj, fset, x0, params) for x0 in x0s]
     best: OptResult | None = None

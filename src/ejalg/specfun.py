@@ -193,16 +193,13 @@ def spectral_subgradient(F: SpectralFunction, x: Element, tol: float = TIE_TOL) 
 
 
 _PROBE_RADII = (0.5, 1.0, 4.0, 16.0, 64.0)
+# probes per subgradient certificate, and the length of the vectors the
+# strict Schur probe majorizes
+CERT_PROBES = 64
+SCHUR_LEN = 5
 
 
-def is_subgradient(
-    F: SpectralFunction,
-    x: Element,
-    v: Element,
-    tol: float = CERT_TOL,
-    num_probes: int = 64,
-    seed: int = 0,
-) -> bool:
+def is_subgradient(F: SpectralFunction, x: Element, v: Element) -> bool:
     """Sampled certificate that v lies in the subdifferential of F at x.
 
     Checks the subgradient inequality at random probes across several
@@ -211,25 +208,25 @@ def is_subgradient(
     """
     if x.algebra != F.algebra or v.algebra != F.algebra:
         raise AlgebraError("algebra mismatch")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     fx = spectral_value(F, x)
     scale = 1.0 + norm(x)
-    for k in range(num_probes):
+    for k in range(CERT_PROBES):
         w = random_element(F.algebra, rng, scale=_PROBE_RADII[k % len(_PROBE_RADII)] * scale)
         gap = spectral_value(F, w) - fx - inner(v, w - x)
-        if gap < -tol * (1.0 + abs(fx) + norm(w - x)):
+        if gap < -CERT_TOL * (1.0 + abs(fx) + norm(w - x)):
             return False
-    ok, _ = strong_operator_commutes(v, x, tol)
+    ok, _ = strong_operator_commutes(v, x, CERT_TOL)
     if not ok:
         return False
     lam_x = eigenvalue_map(x)
     lam_v = eigenvalue_map(v)
     f_at = F.f.value(lam_x)
     rank = F.algebra.rank
-    for k in range(num_probes):
+    for k in range(CERT_PROBES):
         q = _PROBE_RADII[k % len(_PROBE_RADII)] * scale * rng.standard_normal(rank)
         gap = F.f.value(q) - f_at - float(lam_v @ (q - lam_x))
-        if gap < -tol * (1.0 + abs(f_at) + float(np.linalg.norm(q - lam_x))):
+        if gap < -CERT_TOL * (1.0 + abs(f_at) + float(np.linalg.norm(q - lam_x))):
             return False
     return True
 
@@ -247,19 +244,17 @@ def majorizes(u: np.ndarray, v: np.ndarray, tol: float = MAJORIZE_TOL) -> bool:
     return bool(abs(cu[-1] - cv[-1]) <= slack)
 
 
-def check_strict_schur(
-    f: SymmetricFunction, trials: int, seed: int, n: int = 5
-) -> dict:
+def check_strict_schur(f: SymmetricFunction, trials: int, seed: int) -> dict:
     """Strict Schur convexity probe for strictly convex symmetric f.
 
     See ``strict_schur_probe``; this entry point draws from its own seed.
     """
     if not f.is_strictly_convex:
         raise ValueError(f"{f.name} is not strictly convex")
-    return strict_schur_probe(f, trials, np.random.default_rng(seed), n)
+    return strict_schur_probe(f, trials, np.random.default_rng(seed))
 
 
-def strict_schur_probe(f: SymmetricFunction, trials: int, rng: np.random.Generator, n: int = 5) -> dict:
+def strict_schur_probe(f: SymmetricFunction, trials: int, rng: np.random.Generator) -> dict:
     """Count strict majorizations u < v on which f(u) < f(v) fails.
 
     Draws v, averages it under a few random permutations to get a strict
@@ -269,9 +264,9 @@ def strict_schur_probe(f: SymmetricFunction, trials: int, rng: np.random.Generat
     done = violations = 0
     min_margin = np.inf
     while done < trials:
-        v = rng.standard_normal(n)
+        v = rng.standard_normal(SCHUR_LEN)
         k = int(rng.integers(2, 6))
-        u = np.mean([v[rng.permutation(n)] for _ in range(k)], axis=0)
+        u = np.mean([v[rng.permutation(SCHUR_LEN)] for _ in range(k)], axis=0)
         if np.max(np.abs(np.sort(u) - np.sort(v))) <= 1e-9:
             continue
         assert majorizes(u, v)

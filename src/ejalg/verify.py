@@ -76,15 +76,20 @@ CONTROL_FLOOR = 1e-4
 CONTROL_RATE = 0.95
 ACTIVE_GAP = 1e-4
 SIMPLEX_ITERS = 500
+CREASE_ITERS = 20
+# relative gap allowed between a solver's optimal value and the oracle's
+VALUE_TOL = 1e-6
+# the kappa demo's monotonicity certificate comes from the zero start, not
+# from deep convergence; a moderate budget keeps the demo quick
+KAPPA_PARAMS = SolverParams(max_iters=150, tol=1e-7)
 
 
 @dataclass(frozen=True)
 class Tolerances:
     commute: float = 1e-6
-    value: float = 1e-6
 
     def __post_init__(self):
-        if min(self.commute, self.value) <= 0.0:
+        if self.commute <= 0.0:
             raise AlgebraError("tolerances must be positive")
 
 
@@ -192,15 +197,13 @@ def _quadratic_plus_norm(spec: AlgebraSpec, M: np.ndarray, c0: np.ndarray, sense
         label="quadratic + schatten:2",
         algebra=spec,
         sense=sense,
-        value=lambda x: value_c(x.coords),
-        subgradient=None,
         smooth=True,
         value_c=value_c,
         subgrad_c=subgrad_c,
     )
 
 
-def verify_smooth_principle(cfg: SuiteConfig, params: SolverParams = SolverParams()) -> SuiteReport:
+def verify_smooth_principle(cfg: SuiteConfig) -> SuiteReport:
     spec = cfg.algebra
     tol = cfg.tolerances
 
@@ -216,7 +219,7 @@ def verify_smooth_principle(cfg: SuiteConfig, params: SolverParams = SolverParam
         worst_comm = 0.0
         worst_stat = 0.0
         for sense in ("min", "max"):
-            res = multistart(_quadratic_plus_norm(spec, M, c0, sense), orbit(b), params, starts=4, seed=seed)
+            res = multistart(_quadratic_plus_norm(spec, M, c0, sense), orbit(b), starts=4, seed=seed)
             worst_stat = max(worst_stat, res.stationarity)
             if res.stationarity > STATIONARITY_GATE:
                 rec["status"] = "skip"
@@ -265,8 +268,6 @@ def _max_objective(spec, kind, c_el, f_extra, sense="max") -> Objective:
         label=label,
         algebra=spec,
         sense=sense,
-        value=lambda x: value_c(x.coords),
-        subgradient=None,
         smooth=True,
         value_c=value_c,
         subgrad_c=subgrad_c,
@@ -295,7 +296,7 @@ def _sampled_theta_subgradients(spec, kind, c_el, xbar) -> list[Element]:
     return out
 
 
-def verify_max_principle(cfg: SuiteConfig, params: SolverParams = SolverParams()) -> SuiteReport:
+def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
     spec = cfg.algebra
     tol = cfg.tolerances
     extras = (None, schatten(1.5), schatten(3))
@@ -308,7 +309,7 @@ def verify_max_principle(cfg: SuiteConfig, params: SolverParams = SolverParams()
         b = random_element(spec, rng)
         seed = _ms_seed(rng)
         rec = {"trial": i, "inputs": _hash_inputs(c_el.coords, b.coords), "objective": kind, "status": "ok"}
-        res = multistart(_max_objective(spec, kind, c_el, f_extra), orbit(b), params, starts=4, seed=seed)
+        res = multistart(_max_objective(spec, kind, c_el, f_extra), orbit(b), starts=4, seed=seed)
         rec["stationarity"] = res.stationarity
         if res.stationarity > STATIONARITY_GATE:
             rec["status"] = "skip"
@@ -365,8 +366,6 @@ def _maxaffine_objective(spec, C, d, f_extra, smooth_mu=None, sense="min") -> Ob
         label="maxaffine" + ("" if smooth_mu is None else f":mu={smooth_mu:g}"),
         algebra=spec,
         sense=sense,
-        value=lambda x: value_c(x.coords),
-        subgradient=None,
         smooth=smooth_mu is not None,
         value_c=value_c,
         subgrad_c=subgrad_c,
@@ -455,7 +454,7 @@ def _tail_grad_hess(f_extra, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise AlgebraError(f"no closed-form curvature for {f_extra.name}")
 
 
-def _crease_newton(spec, C, d, f_extra, x0: np.ndarray, active: list[int], w0: np.ndarray, iters: int = 20):
+def _crease_newton(spec, C, d, f_extra, x0: np.ndarray, active: list[int], w0: np.ndarray):
     """Newton on the kink: orbit stationarity plus active-value equality.
 
     Unknowns are derivation coefficients around the current point and
@@ -469,7 +468,7 @@ def _crease_newton(spec, C, d, f_extra, x0: np.ndarray, active: list[int], w0: n
     CA = C[active]
     mA = len(active)
     best = (np.inf, x.copy(), w.copy())
-    for _ in range(iters):
+    for _ in range(CREASE_ITERS):
         g_tail, H_tail = _tail_grad_hess(f_extra, x)
         g = CA.T @ w + g_tail
         T = tangent_stack(basis, x)
@@ -496,7 +495,7 @@ def _crease_newton(spec, C, d, f_extra, x0: np.ndarray, active: list[int], w0: n
     return best
 
 
-def _minimize_maxaffine(spec, C, d, f_extra, fset, params, seed):
+def _minimize_maxaffine(spec, C, d, f_extra, fset, seed):
     """Coarse nonsmooth multistart, softmax ladder, then crease Newton.
 
     Subgradient descent stalls at the crease at ~square-root accuracy
@@ -504,7 +503,7 @@ def _minimize_maxaffine(spec, C, d, f_extra, fset, params, seed):
     active set identified at the last temperature seeds an exact
     active-set Newton polish.
     """
-    coarse = SolverParams(max_iters=150, tol=1e-6, fd_step=params.fd_step)
+    coarse = SolverParams(max_iters=150, tol=1e-6)
     res = multistart(_maxaffine_objective(spec, C, d, f_extra), fset, coarse, starts=4, seed=seed)
     x = res.x.coords
     mu_last = 1e-3
@@ -530,8 +529,8 @@ def _minimize_maxaffine(spec, C, d, f_extra, fset, params, seed):
     return _make(spec, x), stat
 
 
-def _certify_min_trial(spec, C, d, f_extra, b, seed, params) -> tuple[dict, Element]:
-    x, stat = _minimize_maxaffine(spec, C, d, f_extra, orbit(b), params, seed)
+def _certify_min_trial(spec, C, d, f_extra, b, seed) -> tuple[dict, Element]:
+    x, stat = _minimize_maxaffine(spec, C, d, f_extra, orbit(b), seed)
     z = C @ x.coords + d
     theta = float(np.max(z))
     active = np.nonzero(z >= theta - ACTIVE_GAP * (1.0 + abs(theta)))[0]
@@ -547,7 +546,7 @@ def _certify_min_trial(spec, C, d, f_extra, b, seed, params) -> tuple[dict, Elem
     return fields, x
 
 
-def verify_min_principle(cfg: SuiteConfig, params: SolverParams = SolverParams()) -> SuiteReport:
+def verify_min_principle(cfg: SuiteConfig) -> SuiteReport:
     spec = cfg.algebra
     tol = cfg.tolerances
     extras = (schatten(2), sumsq())
@@ -561,7 +560,7 @@ def verify_min_principle(cfg: SuiteConfig, params: SolverParams = SolverParams()
         b = random_element(spec, rng)
         seed = _ms_seed(rng)
         rec = {"trial": i, "inputs": _hash_inputs(C, d, b.coords), "generators": m, "status": "ok"}
-        fields, _ = _certify_min_trial(spec, C, d, f_extra, b, seed, params)
+        fields, _ = _certify_min_trial(spec, C, d, f_extra, b, seed)
         rec.update(fields)
         if rec["commute"] > tol.commute:
             rec["status"] = "violation"
@@ -587,7 +586,7 @@ def midpoint_witness_record(tol: Tolerances = Tolerances()) -> dict:
     C = np.stack([cb + p, cb - p])
     d = np.zeros(2)
     rec = {"trial": "witness", "inputs": _hash_inputs(C, b.coords), "generators": 2, "status": "ok"}
-    fields, xbar = _certify_min_trial(spec, C, d, None, b, seed=0, params=SolverParams())
+    fields, xbar = _certify_min_trial(spec, C, d, None, b, seed=0)
     rec.update(fields)
     rec["endpoint_resid"] = min(
         commutator_residual(xbar, Element(spec, C[0])),
@@ -605,11 +604,7 @@ def midpoint_witness_record(tol: Tolerances = Tolerances()) -> dict:
 # the shift, and the value matches the brute-force frame enumeration
 
 
-def verify_shifted_principle(
-    cfg: SuiteConfig,
-    params: SolverParams = SolverParams(),
-    functions: tuple[SymmetricFunction, ...] | None = None,
-) -> SuiteReport:
+def verify_shifted_principle(cfg: SuiteConfig, functions: tuple[SymmetricFunction, ...] | None = None) -> SuiteReport:
     spec = cfg.algebra
     tol = cfg.tolerances
     if functions is None:
@@ -637,13 +632,13 @@ def verify_shifted_principle(
         worst_value = 0.0
         worst_comm = 0.0
         for sense in ("min", "max"):
-            res = multistart(shifted_spectral(F, a, sense), orbit(b), params, starts=4, seed=seed)
+            res = multistart(shifted_spectral(F, a, sense), orbit(b), starts=4, seed=seed)
             orc = permutation_oracle(a, b, F, sense)
             worst_value = max(worst_value, abs(res.value - orc.value) / (1.0 + abs(orc.value)))
             worst_comm = max(worst_comm, operator_commutes(res.x, a)[1])
         rec["value"] = worst_value
         rec["commute"] = worst_comm
-        if worst_value > tol.value or worst_comm > tol.commute:
+        if worst_value > VALUE_TOL or worst_comm > tol.commute:
             rec["status"] = "violation"
         return rec
 
@@ -753,13 +748,12 @@ def verify_appendix(cfg: SuiteConfig) -> SuiteReport:
     spec = cfg.algebra
     records: list[dict] = []
     notes: list[str] = []
-    base = cfg.seed
 
     # strict Schur monotonicity along majorization for strictly convex
     # functions and strictly convex norms
-    schur = check_strict_schur(sumsq(), cfg.trials, seed=base + 101)
+    schur = check_strict_schur(sumsq(), cfg.trials, seed=cfg.seed + 101)
     records.append({"trial": "schur:sumsq", "status": "ok" if schur["violations"] == 0 else "violation", **schur})
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=(_SUITE_IDS["appendix"], 1)))
+    rng = _trial_rng(cfg, "appendix", 1)
     for p in (1.5, 3.0):
         probe = strict_schur_probe(schatten(p), cfg.trials, rng)
         records.append(
@@ -768,7 +762,7 @@ def verify_appendix(cfg: SuiteConfig) -> SuiteReport:
 
     # midpoint strict convexity of the sumsq lift; the trace form makes
     # the convexity gap exactly ||x - y||^2 / 4
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=(_SUITE_IDS["appendix"], 2)))
+    rng = _trial_rng(cfg, "appendix", 2)
     Fss = SpectralFunction(sumsq(), spec)
     bad = 0
     worst_gap_err = 0.0
@@ -786,7 +780,7 @@ def verify_appendix(cfg: SuiteConfig) -> SuiteReport:
 
     # strict norm transfer for p > 1; the p = 1 boundary instance sits
     # exactly at equality
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=(_SUITE_IDS["appendix"], 3)))
+    rng = _trial_rng(cfg, "appendix", 3)
     bad = 0
     for p in (1.5, 2.0, 3.0):
         Fp = SpectralFunction(schatten(p), spec)
@@ -812,7 +806,7 @@ def verify_appendix(cfg: SuiteConfig) -> SuiteReport:
     records.append({"trial": "strictnorm", "status": "ok" if bad == 0 else "violation", "violations": bad, "boundary_err": float(boundary_err)})
 
     # subgradients pair monotonically with the spectrum
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=(_SUITE_IDS["appendix"], 4)))
+    rng = _trial_rng(cfg, "appendix", 4)
     fams = (sumsq(), schatten(1.5), schatten(2), schatten(3))
     bad = 0
     for k in range(cfg.trials):
@@ -825,7 +819,7 @@ def verify_appendix(cfg: SuiteConfig) -> SuiteReport:
     records.append({"trial": "monotone", "status": "ok" if bad == 0 else "violation", "violations": bad})
 
     # transitivity through a tie-refining middle element
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=(_SUITE_IDS["appendix"], 5)))
+    rng = _trial_rng(cfg, "appendix", 5)
     bad = 0
     worst_ac = 0.0
     control_hits = 0
@@ -858,21 +852,27 @@ def kappa_clipping_oracle(lam: np.ndarray, eps: float) -> float:
     return max(1.0, (float(lam[0]) - eps) / (float(lam[-1]) + eps))
 
 
-def demo_kappa(cfg: SuiteConfig, eps: float = 0.5, params: SolverParams | None = None) -> SuiteReport:
+def demo_kappa(cfg: SuiteConfig, eps: float = 0.5) -> SuiteReport:
     if eps <= 0.0:
         raise AlgebraError("eps must be positive")
     spec = cfg.algebra
     fset = spectral_box(spec, -eps, eps)
-    if params is None:
-        # the monotonicity certificate comes from the zero start, not
-        # from deep convergence; a moderate budget keeps the demo quick
-        params = SolverParams(max_iters=150, tol=1e-7)
 
-    def solve_for(a: Element, seed: int, starts: int = 2) -> tuple[float, float, float]:
-        lam = eigenvalue_map(a)
-        res = multistart(kappa_shift(a, "min"), fset, params, starts=starts, seed=seed)
-        comm = operator_commutes(res.x, a)[1]
-        return float(res.value), kappa_clipping_oracle(lam, eps), comm
+    def record(trial, a: Element, kappa_a: float, seed: int, starts: int = 2) -> dict:
+        res = multistart(kappa_shift(a, "min"), fset, KAPPA_PARAMS, starts=starts, seed=seed)
+        kappa_x = float(res.value)
+        oracle = kappa_clipping_oracle(eigenvalue_map(a), eps)
+        return {
+            "trial": trial,
+            "inputs": _hash_inputs(a.coords),
+            "status": "ok",
+            "kappa_before": kappa_a,
+            "kappa_after": kappa_x,
+            "oracle": oracle,
+            "oracle_gap": max(kappa_x - oracle, 0.0),
+            "commute": operator_commutes(res.x, a)[1],
+            "increase": max(kappa_x - kappa_a, 0.0),
+        }
 
     def trial(i: int) -> dict:
         rng = _trial_rng(cfg, "kappa", i)
@@ -881,18 +881,7 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5, params: SolverParams | None =
         lift = eps + float(rng.uniform(0.3, 1.0)) * (1.0 + float(lam0[0] - lam0[-1])) - float(lam0[-1])
         a = x0 + unit(spec) * lift
         kappa_a = float(eigenvalue_map(a)[0] / eigenvalue_map(a)[-1])
-        kappa_x, oracle, comm = solve_for(a, _ms_seed(rng))
-        rec = {
-            "trial": i,
-            "inputs": _hash_inputs(a.coords),
-            "status": "ok",
-            "kappa_before": kappa_a,
-            "kappa_after": kappa_x,
-            "oracle": oracle,
-            "oracle_gap": max(kappa_x - oracle, 0.0),
-            "commute": comm,
-            "increase": max(kappa_x - kappa_a, 0.0),
-        }
+        rec = record(i, a, kappa_a, _ms_seed(rng))
         if rec["increase"] > 1e-12:
             rec["status"] = "violation"
         return rec
@@ -909,22 +898,12 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5, params: SolverParams | None =
         a = Element(spec, np.array([4.0, 2.0, 1.0]) @ frame_rows)
         # local basins near the isotropic corner absorb some random starts,
         # so the closed-form check gets a deeper start menu
-        kappa_x, oracle, comm = solve_for(a, _ms_seed(rng), starts=6)
-        rec = {
-            "trial": "reference",
-            "inputs": _hash_inputs(a.coords),
-            "status": "ok",
-            "kappa_before": 4.0,
-            "kappa_after": kappa_x,
-            "oracle": oracle,
-            "oracle_gap": abs(kappa_x - oracle),
-            "commute": comm,
-            "increase": max(kappa_x - 4.0, 0.0),
-        }
+        rec = record("reference", a, 4.0, _ms_seed(rng), starts=6)
+        rec["oracle_gap"] = abs(rec["kappa_after"] - rec["oracle"])
         if rec["oracle_gap"] > 1e-4 or rec["increase"] > 1e-12:
             rec["status"] = "violation"
         records.append(rec)
-        notes.append(f"reference kappa {kappa_x:.6f} vs oracle {oracle:.6f}")
+        notes.append(f"reference kappa {rec['kappa_after']:.6f} vs oracle {rec['oracle']:.6f}")
     elif spec.rank == 3:
         notes.append("no reference: orbit not connected")
     return _report("kappa", spec, records, ("oracle_gap", "increase", "commute"), notes)

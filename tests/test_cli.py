@@ -93,6 +93,16 @@ def test_verify_csv_layout(capsys, tmp_path):
         float(row[6])  # values parse back
 
 
+def test_verify_summary_counts_skips(capsys):
+    # spin:2 has no derivations, so every shifted trial is a skip; the
+    # summary must say so rather than read as a clean pass
+    code, text, _ = run(capsys, "verify", "--suite", "shifted", "--trials", "6", "--seed", "11", "--algebra", "spin:2")
+    assert code == 0
+    header, row = text.splitlines()[:2]
+    assert header.split() == ["suite", "algebra", "trials", "violations", "skips", "worst"]
+    assert row.split()[:5] == ["shifted", "spin:2", "6", "0", "6"]
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     # residuals around 1e-9 cannot meet 1e-18, so the run reports violations
     code, _, _ = run(

@@ -1,5 +1,6 @@
 """Solvers, feasible sets, and the brute-force frame oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ejalg import (
     AlgebraError,
     Element,
+    Objective,
     SolverParams,
     SpectralFunction,
     combine,
@@ -35,6 +37,7 @@ from ejalg import (
     unit,
 )
 from ejalg.optimize import membership
+from ejalg.verify import _max_objective, _maxaffine_objective, _quadratic_plus_norm
 
 
 def _frame_element(spec_name, values, seed=0):
@@ -119,6 +122,91 @@ def test_kappa_shift_guards_domain():
     assert abs(obj.value(Element(spec, np.zeros(spec.dim))) - 1.0) <= 1e-12
     # leaving the cone yields +inf rather than an exception
     assert math.isinf(obj.value(unit(spec) * -3.0))
+
+
+def _factories():
+    """One objective from each factory, on prod(sym:2,spin:3)."""
+    spec = parse_algebra("prod(sym:2,spin:3)")
+    rng = np.random.default_rng(21)
+    a, c = random_element(spec, rng), random_element(spec, rng)
+    F = SpectralFunction(schatten(3), spec)
+    A = rng.standard_normal((spec.dim, spec.dim))
+    C, d = rng.standard_normal((3, spec.dim)), rng.standard_normal(3)
+    return spec, {
+        "shifted_spectral": shifted_spectral(F, a),
+        "linear_plus_spectral": linear_plus_spectral(c, F, "max"),
+        "kappa_shift": kappa_shift(unit(spec) * 4.0),
+        "quadratic_plus_norm": _quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), a.coords, "min"),
+        "max_objective": _max_objective(spec, "shifted", c, schatten(1.5)),
+        "maxaffine_objective": _maxaffine_objective(spec, C, d, sumsq(), smooth_mu=1e-2),
+    }
+
+
+FACTORIES = list(_factories()[1])
+
+
+@pytest.mark.parametrize("name", FACTORIES)
+def test_solvers_read_only_the_coordinate_callables(name):
+    spec, objs = _factories()
+    obj = objs[name]
+    counts = {"value_c": 0, "subgrad_c": 0}
+
+    def counted(fn, key):
+        def wrapped(c):
+            counts[key] += 1
+            return fn(c)
+
+        return None if fn is None else wrapped
+
+    def refuse(x):
+        raise AssertionError("a solver read an Element-level callable")
+
+    obj = dataclasses.replace(
+        obj,
+        value=refuse,
+        value_c=counted(obj.value_c, "value_c"),
+        subgradient=refuse,
+        subgrad_c=counted(obj.subgrad_c, "subgrad_c"),
+    )
+    b = random_element(spec, np.random.default_rng(3)) * 0.5
+    res = orbit_descent(obj, orbit(b), params=SolverParams(max_iters=3))
+    assert np.isfinite(res.value)
+    assert counts["value_c"] > 0
+    assert (counts["subgrad_c"] > 0) == (obj.subgrad_c is not None)
+
+
+@pytest.mark.parametrize("name", FACTORIES)
+def test_derived_element_views_match_the_coordinate_callables(name):
+    spec, objs = _factories()
+    obj = objs[name]
+    x = random_element(spec, np.random.default_rng(5)) * 0.5
+    assert obj.value(x) == obj.value_c(x.coords)
+    if obj.subgrad_c is None:
+        assert obj.subgradient is None
+    else:
+        assert np.array_equal(obj.subgradient(x).coords, obj.subgrad_c(x.coords))
+
+
+def test_kappa_shift_has_no_subgradient():
+    spec = parse_algebra("sym:3")
+    obj = kappa_shift(unit(spec) * 2.0)
+    assert obj.subgrad_c is None and obj.subgradient is None
+
+
+def test_objective_needs_value_c():
+    spec = parse_algebra("sym:3")
+    with pytest.raises(TypeError):
+        Objective(label="none", algebra=spec, sense="min")
+
+
+def test_derived_subgradient_rejects_non_finite():
+    spec = parse_algebra("sym:3")
+    obj = Objective(
+        label="nan", algebra=spec, sense="min",
+        value_c=lambda c: float(c @ c), subgrad_c=lambda c: np.full(c.shape, np.nan),
+    )
+    with pytest.raises(AlgebraError, match="finite"):
+        obj.subgradient(unit(spec))
 
 
 def test_objective_sense_validation():
