@@ -28,7 +28,6 @@ from .algebra import (
     strong_operator_commutes,
     _decompose_rows,
     _eigvals,
-    _make,
 )
 
 MAJORIZE_TOL = 1e-10
@@ -189,7 +188,7 @@ def spectral_subgradient(F: SpectralFunction, x: Element, tol: float = TIE_TOL) 
         raise ValueError(f"{F.f.name} is not convex; no subgradient exists")
     if F.f.subgrad is None:
         raise ValueError(f"{F.f.name} has no subgradient oracle")
-    return _make(F.algebra, spectral_subgrad_coords(F, x.coords, tol))
+    return Element(F.algebra, spectral_subgrad_coords(F, x.coords, tol))
 
 
 _PROBE_RADII = (0.5, 1.0, 4.0, 16.0, 64.0)

@@ -24,7 +24,6 @@ from .algebra import (
     commutator_residual,
     eigenvalue_map,
     lyapunov_map,
-    _make,
     norm,
     operator_commutes,
     parse_algebra,
@@ -509,7 +508,7 @@ def _minimize_maxaffine(spec, C, d, f_extra, fset, seed):
     mu_last = 1e-3
     for mu in (1e-2, mu_last):
         polish = _maxaffine_objective(spec, C, d, f_extra, smooth_mu=mu)
-        res = orbit_descent(polish, fset, x0=_make(spec, x), params=SolverParams(max_iters=200, tol=1e-9))
+        res = orbit_descent(polish, fset, x0=Element(spec, x), params=SolverParams(max_iters=200, tol=1e-9))
         x = res.x.coords
     z = C @ x + d
     zmax = float(np.max(z))
@@ -526,7 +525,7 @@ def _minimize_maxaffine(spec, C, d, f_extra, fset, seed):
         active = [a for k, a in enumerate(active) if k != drop]
         p = np.delete(w, drop)
         p = np.maximum(p, 1e-8)
-    return _make(spec, x), stat
+    return Element(spec, x), stat
 
 
 def _certify_min_trial(spec, C, d, f_extra, b, seed) -> tuple[dict, Element]:

@@ -1,6 +1,7 @@
 """Solvers, feasible sets, and the brute-force frame oracle."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +37,8 @@ from ejalg import (
     sumsq,
     unit,
 )
-from ejalg.optimize import membership
+from ejalg.algebra import split_factors
+from ejalg.optimize import _factor_parts, _permutation_table, membership
 from ejalg.verify import _max_objective, _maxaffine_objective, _quadratic_plus_norm
 
 
@@ -255,6 +257,165 @@ def test_permutation_oracle_respects_factors():
     la, lb = np.sort(eigenvalue_map(a))[::-1], np.sort(eigenvalue_map(b))[::-1]
     unconstrained = float(np.sum((lb - la) ** 2))
     assert lo.value >= unconstrained - 1e-9
+
+
+def _loop_oracle(a, b, F, sense):
+    """The one-permutation-at-a-time oracle loop: the reference for the blocked one."""
+    parts_a = _factor_parts(a)
+    if a.algebra.kind == "prod":
+        lams_b = [eigenvalue_map(xf) for xf in split_factors(b)]
+    else:
+        lams_b = [eigenvalue_map(b)]
+    best_val = None
+    best_assign = None
+    count = 0
+    perm_sets = [itertools.permutations(range(lam.size)) for lam in lams_b]
+    for assign in itertools.product(*perm_sets):
+        diffs = np.concatenate(
+            [lb[list(p)] - la for lb, (_, la, _), p in zip(lams_b, parts_a, assign)]
+        )
+        v = F.f.value(diffs)
+        count += 1
+        if best_val is None or (v < best_val if sense == "min" else v > best_val):
+            best_val, best_assign = v, assign
+    coords = np.zeros(a.algebra.dim)
+    for lb, (_, _, fr), p in zip(lams_b, parts_a, best_assign):
+        coords += lb[list(p)] @ fr
+    return float(best_val), coords, count
+
+
+def _assert_matches_loop(a, b, F):
+    for sense in ("min", "max"):
+        res = permutation_oracle(a, b, F, sense)
+        value, coords, count = _loop_oracle(a, b, F, sense)
+        assert res.value.hex() == value.hex()
+        assert np.array_equal(res.x.coords, coords)
+        assert res.iterations == count
+
+
+@pytest.mark.parametrize(
+    "name", ["sym:2", "sym:3", "sym:5", "spin:4", "prod(sym:2,sym:3,spin:3)", "prod(sym:7,sym:2)"]
+)
+@pytest.mark.parametrize("f", [schatten(1), schatten(2), schatten(3), sumsq()], ids=lambda f: f.name)
+def test_permutation_oracle_matches_the_loop(name, f):
+    # prod(sym:7,sym:2) has 10,080 rows, so blocks end inside a product
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(21)
+    for scale in (1e-3, 1.0, 1e3):
+        a = random_element(spec, rng)
+        b = random_element(spec, rng) * scale
+        _assert_matches_loop(a, b, SpectralFunction(f, spec))
+
+
+def test_permutation_oracle_matches_the_loop_on_sym8():
+    # schatten:3's stacked rows differ from one-row values by an ulp here
+    spec = parse_algebra("sym:8")
+    rng = np.random.default_rng(22)
+    _assert_matches_loop(random_element(spec, rng), random_element(spec, rng), SpectralFunction(schatten(3), spec))
+
+
+@pytest.mark.parametrize("name", ["sym:4", "spin:4", "prod(sym:7,sym:2)"])
+def test_permutation_oracle_tied_b_matches_the_loop(name):
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(23)
+    a = random_element(spec, rng)
+    frame = spectral_decompose(random_element(spec, rng)).frame
+    tied = combine(frame, np.repeat([2.0, -1.0], [spec.rank - spec.rank // 2, spec.rank // 2]))
+    for b in (tied, unit(spec) * 3.0):
+        for f in (schatten(1), schatten(2), sumsq()):
+            _assert_matches_loop(a, b, SpectralFunction(f, spec))
+
+
+def test_permutation_oracle_equal_values_resolve_to_the_first_permutation():
+    spec = parse_algebra("rn:3")
+    a = Element(spec, np.array([1.0, 0.0, -1.0]))
+    F = SpectralFunction(schatten(1), spec)
+    # (1,2,0), (2,0,1) and (2,1,0) all reach 4 exactly; (1,2,0) comes first
+    hi = permutation_oracle(a, a, F, "max")
+    assert hi.value == 4.0
+    assert np.array_equal(hi.x.coords, [0.0, -1.0, 1.0])
+
+    def value(u):
+        # stacked rows of (2,0,1) and (2,1,0), whose first entry is -2,
+        # come out an ulp high; one-row values are exact
+        v = np.add.reduce(np.abs(u), axis=-1)
+        return v if u.ndim == 1 else v + np.spacing(v) * (u[:, 0] == -2.0)
+
+    hi = permutation_oracle(a, a, SpectralFunction(dataclasses.replace(schatten(1), value=value), spec), "max")
+    assert hi.value == 4.0
+    assert np.array_equal(hi.x.coords, [0.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows", ["first", "some"])
+def test_permutation_oracle_non_finite_values_match_the_loop(rows, fill):
+    spec = parse_algebra("prod(sym:7,sym:2)")
+    rng = np.random.default_rng(26)
+    a = random_element(spec, rng)
+    b = random_element(spec, rng)
+    # the row of the first permutation: identity in every factor
+    first = np.concatenate([eigenvalue_map(bf) - la for bf, (_, la, _) in zip(split_factors(b), _factor_parts(a))])
+
+    def value(u):
+        is_first = np.all(u == first, axis=-1)
+        # about half the other rows, scattered over every block
+        scatter = np.modf(1e3 * np.abs(u[..., 0] + 2.0 * u[..., 1] + 3.0 * u[..., 2]))[0] > 0.5
+        bad = is_first if rows == "first" else scatter & ~is_first
+        return np.where(bad, fill, np.add.reduce(u * u, axis=-1))
+
+    _assert_matches_loop(a, b, SpectralFunction(dataclasses.replace(sumsq(), value=value), spec))
+
+
+def test_permutation_oracle_needs_stacked_values():
+    spec = parse_algebra("sym:3")
+    rng = np.random.default_rng(27)
+    f = dataclasses.replace(sumsq(), value=lambda u: float(np.sum(u * u)))
+    with pytest.raises(AlgebraError):
+        permutation_oracle(random_element(spec, rng), random_element(spec, rng), SpectralFunction(f, spec))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_table_is_itertools_order(n):
+    table = _permutation_table(n)
+    assert table.dtype == np.int8
+    assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
+
+
+def test_permutation_oracle_rank_limit():
+    spec = parse_algebra("sym:9")
+    rng = np.random.default_rng(24)
+    a = random_element(spec, rng)
+    b = random_element(spec, rng)
+    F = SpectralFunction(schatten(2), spec)
+    res = permutation_oracle(a, b, F, "min")
+    assert res.iterations == math.factorial(9)
+    la, lb = eigenvalue_map(a), eigenvalue_map(b)
+    assert abs(res.value - float(np.linalg.norm(lb - la))) <= 1e-9
+    big = parse_algebra("rn:10")
+    with pytest.raises(AlgebraError):
+        permutation_oracle(random_element(big, rng), random_element(big, rng), SpectralFunction(schatten(2), big))
+
+
+def test_permutation_oracle_needs_no_solver(monkeypatch):
+    import ejalg.optimize as opt
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the oracle called a solver")
+
+    for name in ("multistart", "orbit_descent", "spectralbox_descent"):
+        monkeypatch.setattr(opt, name, no_solver)
+    spec = parse_algebra("prod(sym:3,spin:4)")
+    rng = np.random.default_rng(25)
+    a = random_element(spec, rng)
+    b = random_element(spec, rng)
+    F = SpectralFunction(schatten(2), spec)
+    lo = permutation_oracle(a, b, F, "min")
+    hi = permutation_oracle(a, b, F, "max")
+    # Hoffman-Wielandt per factor: sorted pairs for min, reversed for max
+    pairs = [(eigenvalue_map(af), eigenvalue_map(bf)) for af, bf in zip(split_factors(a), split_factors(b))]
+    assert abs(lo.value - math.sqrt(sum(np.sum((lb - la) ** 2) for la, lb in pairs))) <= 1e-9
+    assert abs(hi.value - math.sqrt(sum(np.sum((lb[::-1] - la) ** 2) for la, lb in pairs))) <= 1e-9
+    assert lo.diagnostics.ok() and hi.diagnostics.ok()
 
 
 # -- orbit descent ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Spectral functions, subgradients, and majorization helpers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,13 @@ def test_subgradient_needs_convexity_oracle():
     x = unit(spec) * 2.0
     with pytest.raises(ValueError):
         spectral_subgradient(F, x)
+
+
+def test_spectral_subgradient_rejects_non_finite():
+    spec = parse_algebra("sym:3")
+    f = dataclasses.replace(sumsq(), subgrad=lambda u: np.full_like(u, np.nan))
+    with pytest.raises(AlgebraError, match="coords must be finite"):
+        spectral_subgradient(SpectralFunction(f, spec), random_element(spec, np.random.default_rng(10)))
 
 
 def test_spectral_subgradient_scale_covariance():

@@ -241,6 +241,24 @@ def test_kappa_clipping_oracle_values():
     assert kappa_clipping_oracle(np.array([4.0, 2.0, 1.0]), 10.0) == 1.0
 
 
+@pytest.mark.parametrize("stage", ["polish start", "returned point"])
+def test_minimize_maxaffine_rejects_non_finite(monkeypatch, stage):
+    import types
+
+    import ejalg.verify as ver
+
+    spec = parse_algebra("sym:2")
+    rng = np.random.default_rng(14)
+    C = np.stack([random_element(spec, rng).coords for _ in range(2)])
+    nan = np.full(spec.dim, np.nan)
+    if stage == "polish start":
+        monkeypatch.setattr(ver, "multistart", lambda *args, **kw: types.SimpleNamespace(x=types.SimpleNamespace(coords=nan)))
+    else:
+        monkeypatch.setattr(ver, "_crease_newton", lambda *args: (0.0, nan, np.ones(1)))
+    with pytest.raises(AlgebraError, match="coords must be finite"):
+        ver._minimize_maxaffine(spec, C, np.zeros(2), None, ver.orbit(random_element(spec, rng)), 0)
+
+
 def test_commutation_checks_have_power():
     # a 0.1-size automorphism kick off a commuting pair must be visible,
     # otherwise a suite could pass by never being able to fail
