@@ -169,6 +169,12 @@ def cmd_solve(args) -> int:
     except (ValueError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if args.starts < 1 or args.max_iters < 1:
+        print("error: --starts and --max-iters must be >= 1", file=sys.stderr)
+        return USAGE_ERROR
+    if not args.tol > 0.0:
+        print("error: --tol must be positive", file=sys.stderr)
+        return USAGE_ERROR
     params = SolverParams(max_iters=args.max_iters, tol=args.tol)
     try:
         if args.oracle:
@@ -219,8 +225,11 @@ def cmd_demo(args) -> int:
         print("error: --eps must be given and positive", file=sys.stderr)
         return USAGE_ERROR
     try:
-        spec = parse_algebra(args.algebra)
-        cfg = SuiteConfig(algebra=spec, trials=args.trials, seed=args.seed)
+        cfg = SuiteConfig(algebra=parse_algebra(args.algebra), trials=args.trials, seed=args.seed)
+    except AlgebraError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
         rep = demo_kappa(cfg, eps=args.eps)
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -301,14 +301,18 @@ def kappa_shift(a: Element, sense: str = "min") -> Objective:
     )
 
 
-def _signed(obj: Objective):
-    """Minimization view on raw coords: returns (sgn, value_fn, grad_fn).
+def _sign(sense: str) -> float:
+    """+1 to minimize, -1 to maximize: solvers minimize sign times value."""
+    return 1.0 if sense == "min" else -1.0
+
+
+def _coord_fns(obj: Objective):
+    """(value_fn, grad_fn) on raw coords, in the objective's own sense.
 
     Both functions take one coordinate row or an (m, dim) stack; stacks
     go to the objective whole when it is ``stacked`` and row by row
     otherwise.
     """
-    sgn = 1.0 if obj.sense == "min" else -1.0
     spec = obj.algebra
     raw_val, raw_grad = obj.value_c, obj.subgrad_c
     if raw_grad is None:
@@ -331,15 +335,15 @@ def _signed(obj: Objective):
 
     def val(c: np.ndarray):
         if c.ndim == 1 or obj.stacked:
-            return sgn * np.asarray(raw_val(c), dtype=float)
-        return sgn * np.array([raw_val(row) for row in c], dtype=float)
+            return np.asarray(raw_val(c), dtype=float)
+        return np.array([raw_val(row) for row in c], dtype=float)
 
     def grad(c: np.ndarray) -> np.ndarray:
         if c.ndim == 1 or whole_grad:
-            return sgn * np.asarray(raw_grad(c), dtype=float)
-        return sgn * np.array([raw_grad(row) for row in c], dtype=float).reshape(c.shape)
+            return np.asarray(raw_grad(c), dtype=float)
+        return np.array([raw_grad(row) for row in c], dtype=float).reshape(c.shape)
 
-    return sgn, val, grad
+    return val, grad
 
 
 def _diagnostics(obj: Objective, x: Element, g: Element | None) -> CommutationReport:
@@ -383,18 +387,21 @@ class _Solve:
 
 
 class _Lockstep:
-    """Per-start state of an (m, dim) stack of orbit iterates.
+    """Per-row state of an (m, dim) stack of orbit iterates.
 
-    Rows leave the stack as they finish; ``out`` holds each start's
-    _Solve or the AlgebraError that failed it, by start index.
+    Each row carries its own sign in the ``sgn`` column (+1 minimizes,
+    -1 maximizes), so rows of both senses share one stack, and ``fc``
+    holds sign times value.  Rows leave the stack as they finish;
+    ``out`` holds each row's _Solve or the AlgebraError that failed it,
+    by row index.
     """
 
-    def __init__(self, starts: np.ndarray, k: int, sgn: float):
+    def __init__(self, starts: np.ndarray, k: int, sgn: np.ndarray):
         m = len(starts)
-        self.sgn = sgn
         self.out: list = [None] * m
         self.rows = {
             "id": np.arange(m),
+            "sgn": np.array(sgn, dtype=float),
             "c": np.array(starts, dtype=float),
             "fc": np.zeros(m),
             "stat": np.full(m, np.inf),
@@ -415,7 +422,7 @@ class _Lockstep:
     def finish(self, mask: np.ndarray, status: str, it: int) -> None:
         r = self.rows
         for i in np.flatnonzero(mask) if mask.any() else ():
-            self.out[r["id"][i]] = _Solve(r["c"][i].copy(), float(self.sgn * r["fc"][i]), it, float(r["stat"][i]), status)
+            self.out[r["id"][i]] = _Solve(r["c"][i].copy(), float(r["sgn"][i] * r["fc"][i]), it, float(r["stat"][i]), status)
 
     def fail(self, mask: np.ndarray, errors: dict, what: str) -> None:
         for i in np.flatnonzero(mask) if mask.any() else ():
@@ -425,22 +432,26 @@ class _Lockstep:
         self.rows = {key: v[mask] for key, v in self.rows.items()}
 
 
-def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, params: SolverParams) -> list:
+def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, sgn: np.ndarray, params: SolverParams) -> list:
     """Descend from every row of an (m, dim) stack of orbit points at once.
 
     Each row runs its own descent along automorphism curves
-    x <- exp(t D) x; every iteration makes one stacked call for the
-    center pairings, one per Armijo trial round and one for the Hessian
-    probes of the rows that refresh their curvature.  Returns one entry
-    per start: a _Solve, or the AlgebraError that failed the start when
-    its value or subgradient was not finite or raised.
+    x <- exp(t D) x, minimizing ``sgn[row]`` times the objective's value;
+    the objective's own ``sense`` is not read.  Every iteration makes one
+    stacked call for the center pairings, one per Armijo trial round and
+    one for the Hessian probes of the rows that refresh their curvature,
+    over rows of either sign.  The stacked calls compute each row as it
+    would alone and negation is exact, so a row's trajectory does not
+    depend on the other rows.  Returns one entry per row: a _Solve, or
+    the AlgebraError that failed the row when its value or subgradient
+    was not finite or raised.
     """
-    sgn, val, grad = _signed(obj)
+    val, grad = _coord_fns(obj)
     dim, k = basis.algebra.dim, basis.dimension
     S = basis.stack
     st = _Lockstep(starts, k, sgn)
     fc, errors = _evaluate(val, st["c"], (len(st),))
-    st["fc"][:] = fc
+    st["fc"][:] = st["sgn"] * fc
     bad = ~np.isfinite(fc)
     st.fail(bad, errors, "objective value")
     st.keep(~bad)
@@ -454,6 +465,7 @@ def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, params: SolverPar
             break
         c, fc = st["c"], st["fc"]
         g, errors = _evaluate(grad, c, c.shape)
+        g = st["sgn"][:, None] * g
         beta = (tangent_stack(basis, c) @ g[:, :, None])[:, :, 0]
         bad = ~np.isfinite(beta).all(axis=1)
         st.fail(bad, errors, "subgradient")
@@ -494,7 +506,7 @@ def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, params: SolverPar
         slope = np.add.reduce(d * beta, axis=1)  # derivative of val along the curve, < 0
         D = (d[:, None, :] @ S.reshape(k, -1)).reshape(-1, dim, dim)
         t = np.where(newton, 1.0, np.minimum(1.0, 2.0 * st["t_prev"]))
-        accepted, stalled, errors = _armijo(val, D, c, fc, t, slope, newton)
+        accepted, stalled, errors = _armijo(val, st["sgn"], D, c, fc, t, slope, newton)
         st["full_step"][:] = np.where(newton & accepted, t == 1.0, st["full_step"])
         st["t_prev"][:] = np.where(~newton & accepted, t, st["t_prev"])
         failed = np.zeros(len(st), dtype=bool)
@@ -525,6 +537,7 @@ def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np
     h = 1e-5 * (1.0 + np.sqrt(np.add.reduce(c * c, axis=1)))
     probes = basis_curve_points(basis, c, h).reshape(-1, dim)
     g, errors = _evaluate(grad, probes, probes.shape)
+    g = np.repeat(st["sgn"][rows], k)[:, None] * g
     up = (tangent_stack(basis, probes) @ g[:, :, None])[:, :, 0].reshape(-1, k, k)
     H = (up - beta[rows][:, None, :]) / h[:, None, None]
     H = 0.5 * (H + H.swapaxes(1, 2))
@@ -541,11 +554,12 @@ def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np
     return bad
 
 
-def _armijo(val, D, c, fc, t, slope, newton):
+def _armijo(val, sgn, D, c, fc, t, slope, newton):
     """Armijo backtracking for every row, each with its own trial step.
 
     Rows still pending share one stacked value call per round, on
-    trial points from one eigendecomposition of the skew D.  Updates
+    trial points from one eigendecomposition of the skew D; each row
+    compares ``sgn`` times the value against its signed ``fc``.  Updates
     c, fc and t in place for accepted rows; returns (accepted, stalled,
     errors).  A Newton row whose predicted decrease |slope| is within
     STALL_ULPS ulps of |fc| is at the rounding floor of the value: its
@@ -564,6 +578,7 @@ def _armijo(val, D, c, fc, t, slope, newton):
     for _ in range(MAX_HALVINGS):
         ct = curves.at(t[pend], pend)
         ft, errs = _evaluate(val, ct, (len(pend),))
+        ft = sgn[pend] * ft
         if errs:
             errors.update({pend[j]: e for j, e in errs.items()})
             errored[pend[list(errs)]] = True
@@ -583,12 +598,14 @@ def _armijo(val, D, c, fc, t, slope, newton):
 
 
 def _finish(obj: Objective, row: _Solve) -> OptResult:
-    """The OptResult of one finished start, with its commutation diagnostics."""
+    """The OptResult of one finished start, with its commutation diagnostics.
+
+    The subgradient at the solution is a one-row call; Element rejects
+    one that is not finite.
+    """
     xbar = Element(obj.algebra, row.c)
-    # grad is sgn times the objective's own subgradient, so this undoes
-    # the sign exactly; Element rejects a subgradient that is not finite
-    sgn, _, grad = _signed(obj)
-    g_el = Element(obj.algebra, sgn * grad(row.c))
+    _, grad = _coord_fns(obj)
+    g_el = Element(obj.algebra, grad(row.c))
     return OptResult(xbar, row.value, row.iterations, row.stationarity, _diagnostics(obj, xbar, g_el), row.status)
 
 
@@ -625,7 +642,7 @@ def orbit_descent(
     """
     basis = _orbit_basis(obj, fset)
     start = _orbit_start(fset, x0)
-    (row,) = _orbit_lockstep(obj, basis, start[None], params)
+    (row,) = _orbit_lockstep(obj, basis, start[None], np.array([_sign(obj.sense)]), params)
     if isinstance(row, AlgebraError):
         raise row
     return _finish(obj, row)
@@ -759,7 +776,15 @@ def spectralbox_descent(
         ok, r = membership(fset, x0, tol=START_TOL)
         if not ok:
             raise AlgebraError(f"x0 outside the box (residual {r:.2e})")
-    sgn, val, grad = _signed(obj)
+    sgn = _sign(obj.sense)
+    raw_val, raw_grad = _coord_fns(obj)
+
+    def val(c: np.ndarray):
+        return sgn * raw_val(c)
+
+    def grad(c: np.ndarray) -> np.ndarray:
+        return sgn * raw_grad(c)
+
     c = x0.coords.copy()
     fc = val(c)
     t_prev = 1.0
@@ -854,6 +879,73 @@ def _attempt(solve, *args):
         return exc
 
 
+def _draw_starts(fset: FeasibleSet, starts: int, seed: int) -> list[Element | None]:
+    """Start 0 is the default start (None); start i draws from the seed's i-th spawn."""
+    if starts < 1:
+        raise AlgebraError("starts must be >= 1")
+    x0s: list[Element | None] = [None]
+    for i in range(1, starts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        if i == 1 and fset.variant == "box":
+            x0s.append(_spread_start(fset, rng))
+        else:
+            x0s.append(_random_start(fset, rng))
+    return x0s
+
+
+def _orbit_outcomes(objs: tuple[Objective, ...], fset: FeasibleSet, x0s: list, params: SolverParams) -> list[list]:
+    """Per objective, each start's _Solve or the AlgebraError that failed it.
+
+    The objectives differ only in sense.  Every (objective, start) pair
+    is one row of a single lockstep stack, objective-major, each row
+    signed by its objective's sense.
+    """
+    basis = _orbit_basis(objs[0], fset)
+    points = [_attempt(_orbit_start, fset, x0) for x0 in x0s]
+    live = [i for i, p in enumerate(points) if not isinstance(p, AlgebraError)]
+    outcomes = [list(points) for _ in objs]
+    if live:
+        C = np.stack([points[i] for i in live])
+        sgn = np.repeat([_sign(o.sense) for o in objs], len(live))
+        solves = _orbit_lockstep(objs[0], basis, np.tile(C, (len(objs), 1)), sgn, params)
+        for n, out in enumerate(outcomes):
+            for i, row in zip(live, solves[n * len(live) : (n + 1) * len(live)]):
+                out[i] = row
+    return outcomes
+
+
+def _best(obj: Objective, outcomes: list) -> OptResult:
+    """The best-valued start that yields a result, lowest index on ties.
+
+    Orbit starts are finished (subgradient and diagnostics) lazily, best
+    value first: a start whose finish raises AlgebraError is dropped and
+    the next best is tried, which returns what finishing every start
+    first would.  Raises when every start failed.
+    """
+    sgn = _sign(obj.sense)
+    failures = {i: out for i, out in enumerate(outcomes) if isinstance(out, AlgebraError)}
+    live = [i for i in range(len(outcomes)) if i not in failures]
+    while live:
+        # min keeps the first of equal keys, as a strict-improvement scan does
+        i = min(live, key=lambda j: sgn * outcomes[j].value)
+        res = outcomes[i] if isinstance(outcomes[i], OptResult) else _attempt(_finish, obj, outcomes[i])
+        if not isinstance(res, AlgebraError):
+            return replace(res, start_index=i)
+        failures[i] = res
+        live.remove(i)
+    raise AlgebraError(f"all {len(outcomes)} starts failed: {failures[max(failures)]}")
+
+
+def _multistart(objs: tuple[Objective, ...], fset: FeasibleSet, params: SolverParams, starts: int, seed: int) -> list:
+    """One OptResult per objective, all from one drawn start sequence."""
+    x0s = _draw_starts(fset, starts, seed)
+    if fset.variant == "orbit":
+        outcomes = _orbit_outcomes(objs, fset, x0s, params)
+    else:
+        outcomes = [[_attempt(spectralbox_descent, o, fset, x0, params) for x0 in x0s] for o in objs]
+    return [_best(o, out) for o, out in zip(objs, outcomes)]
+
+
 def multistart(
     obj: Objective,
     fset: FeasibleSet,
@@ -867,38 +959,28 @@ def multistart(
     random. Deterministic given the seed: starts draw from per-index
     spawned generators, and ties in value keep the lowest start index.
     Orbit starts descend in lockstep as one stacked solve; a start whose
-    solve raises AlgebraError is dropped.
+    solve raises AlgebraError is dropped.  Commutation diagnostics are
+    built only for the returned start.  ``multistart_minmax`` is the
+    two-sense call.
     """
-    if starts < 1:
-        raise AlgebraError("starts must be >= 1")
-    sgn = 1.0 if obj.sense == "min" else -1.0
-    x0s: list[Element | None] = [None]
-    for i in range(1, starts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        if i == 1 and fset.variant == "box":
-            x0s.append(_spread_start(fset, rng))
-        else:
-            x0s.append(_random_start(fset, rng))
-    # each start's OptResult, or the AlgebraError that failed it
-    if fset.variant == "orbit":
-        basis = _orbit_basis(obj, fset)
-        outcomes = [_attempt(_orbit_start, fset, x0) for x0 in x0s]
-        live = [i for i, out in enumerate(outcomes) if not isinstance(out, AlgebraError)]
-        if live:
-            solves = _orbit_lockstep(obj, basis, np.stack([outcomes[i] for i in live]), params)
-            for i, row in zip(live, solves):
-                outcomes[i] = row if isinstance(row, AlgebraError) else _attempt(_finish, obj, row)
-    else:
-        outcomes = [_attempt(spectralbox_descent, obj, fset, x0, params) for x0 in x0s]
-    best: OptResult | None = None
-    failures: list[AlgebraError] = []
-    for i, res in enumerate(outcomes):
-        if isinstance(res, AlgebraError):
-            failures.append(res)
-            continue
-        res = replace(res, start_index=i)
-        if best is None or sgn * res.value < sgn * best.value:
-            best = res
-    if best is None:
-        raise AlgebraError(f"all {starts} starts failed: {failures[-1]}")
-    return best
+    (res,) = _multistart((obj,), fset, params, starts, seed)
+    return res
+
+
+def multistart_minmax(
+    obj: Objective,
+    fset: FeasibleSet,
+    params: SolverParams = SolverParams(),
+    starts: int = 8,
+    seed: int = 0,
+) -> tuple[OptResult, OptResult]:
+    """``multistart`` for both senses of obj: (min result, max result).
+
+    obj's own sense is ignored.  The start sequence is drawn and checked
+    once and serves both senses; over an orbit, all 2 * starts rows run
+    as one lockstep stack, each row signed by its sense.  Each result
+    is what ``multistart(replace(obj, sense=s), ...)`` returns, bit for
+    bit.
+    """
+    lo, hi = _multistart((replace(obj, sense="min"), replace(obj, sense="max")), fset, params, starts, seed)
+    return lo, hi

@@ -215,3 +215,20 @@ def test_demo_prints_trials_and_record(capsys, tmp_path):
     rec = json.loads(out.read_text())
     assert rec["passed"] is True
     assert rec["config"]["eps"] == 0.5
+
+
+def test_solver_options_out_of_range_are_usage_errors(capsys):
+    base = ("solve", "--algebra", "sym:3", "--orbit", "random")
+    for opt, value in (("--starts", "0"), ("--max-iters", "0"), ("--tol", "0"), ("--tol", "-1e-8"), ("--tol", "nan")):
+        code, out, err = run(capsys, *base, opt, value)
+        assert code == 2, (opt, value)
+        assert opt in err and not out
+    code, _, _ = run(capsys, *base, "--starts", "1", "--max-iters", "1")
+    assert code == 0
+
+
+def test_demo_usage_errors_exit_2(capsys):
+    code, out, err = run(capsys, "demo", "kappa", "--eps", "0.5", "--trials", "0")
+    assert code == 2 and "trials must be >= 1" in err and not out
+    code, _, _ = run(capsys, "demo", "kappa", "--eps", "0.5", "--algebra", "nope:3", "--trials", "1")
+    assert code == 2

@@ -1,5 +1,7 @@
 """Stacked kernels against their one-row calls, and the lockstep orbit solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from ejalg import (
     SolverParams,
     SpectralFunction,
     derivation_basis,
+    kappa_shift,
     linear_plus_spectral,
     multistart,
+    multistart_minmax,
     orbit,
     orbit_descent,
     parse_algebra,
@@ -18,12 +22,15 @@ from ejalg import (
     random_element,
     schatten,
     shifted_spectral,
+    spectral_box,
     sumsq,
+    unit,
 )
 from ejalg.algebra import _decompose_rows, _eigvals, canonical_frame, multiplicity_blocks
 from ejalg.liegroup import SkewCurves, basis_curve_points, exp_action
-from ejalg.optimize import _random_start, membership
+from ejalg.optimize import _orbit_lockstep, _random_start, membership
 from ejalg.specfun import spectral_subgrad_coords, spectral_value_coords
+from ejalg.verify import _quadratic_plus_norm
 
 ALGEBRAS = ["rn:4", "sym:3", "sym:4", "spin:4", "prod(sym:3,spin:4)", "prod(rn:2,sym:2)"]
 FUNCTIONS = [sumsq(), schatten(1.5), schatten(2), schatten(3)]
@@ -353,3 +360,164 @@ def test_raising_row_in_the_rounding_floor_fails_its_start():
     res = multistart(obj, fset, params, starts=4, seed=5)
     assert res.start_index != 2
     assert res.status == "stalled"
+
+
+# -- both senses in one stack ---------------------------------------------------
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_same_result(got, want):
+    """Every field of two OptResults, bit for bit."""
+    assert _bits(got.value) == _bits(want.value)
+    assert _bits(got.x.coords) == _bits(want.x.coords)
+    assert got.iterations == want.iterations
+    assert _bits(got.stationarity) == _bits(want.stationarity)
+    assert got.status == want.status
+    assert got.start_index == want.start_index
+    assert [n for n, _ in got.diagnostics.pairs] == [n for n, _ in want.diagnostics.pairs]
+    assert _bits([r for _, r in got.diagnostics.pairs]) == _bits([r for _, r in want.diagnostics.pairs])
+
+
+def _paired_objectives(spec, rng):
+    a, c = random_element(spec, rng), random_element(spec, rng)
+    A = rng.standard_normal((spec.dim, spec.dim))
+    return {
+        "shifted_spectral": shifted_spectral(SpectralFunction(schatten(3), spec), a),
+        "linear_plus_spectral": linear_plus_spectral(c, SpectralFunction(sumsq(), spec)),
+        # a row-loop objective: the solver calls it one row at a time
+        "quadratic_plus_norm": _quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), a.coords),
+        # no subgradient: central differences, row by row
+        "kappa_shift": kappa_shift(unit(spec) * 6.0 + a),
+    }
+
+
+def _negated(obj):
+    """-obj, to be minimized; every value and subgradient negates exactly."""
+    value_c, subgrad_c = obj.value_c, obj.subgrad_c
+    return dataclasses.replace(
+        obj, sense="min", value=None, subgradient=None,
+        value_c=lambda c: -value_c(c), subgrad_c=None if subgrad_c is None else (lambda c: -subgrad_c(c)),
+    )
+
+
+def _negated_result(res):
+    return dataclasses.replace(res, value=-res.value)
+
+
+PAIRED_ALGEBRAS = ["sym:3", "spin:5", "prod(sym:3,spin:4)", "rn:3"]
+
+
+@pytest.mark.parametrize("name", PAIRED_ALGEBRAS)
+@pytest.mark.parametrize("kind", list(_paired_objectives(parse_algebra("sym:2"), np.random.default_rng(0))))
+def test_multistart_minmax_matches_two_one_sense_calls(name, kind):
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(12)
+    obj = _paired_objectives(spec, rng)[kind]
+    fset = orbit(random_element(spec, rng))
+    # finite differences make kappa's iterations dear; exactness needs no convergence
+    params = SolverParams(max_iters=30) if kind == "kappa_shift" else SolverParams()
+    lo, hi = multistart_minmax(obj, fset, params, starts=4, seed=7)
+    for sense, got in (("min", lo), ("max", hi)):
+        want = multistart(dataclasses.replace(obj, sense=sense), fset, params, starts=4, seed=7)
+        _assert_same_result(got, want)
+    # the objective's own sense does not matter
+    for got, want in zip(multistart_minmax(dataclasses.replace(obj, sense="max"), fset, params, starts=4, seed=7), (lo, hi)):
+        _assert_same_result(got, want)
+    # maximizing is minimizing the exactly negated objective
+    _assert_same_result(hi, _negated_result(multistart(_negated(obj), fset, params, starts=4, seed=7)))
+
+
+def test_multistart_minmax_draws_the_starts_once_and_solves_one_stack(monkeypatch):
+    import ejalg.optimize as opt
+
+    spec = parse_algebra("prod(sym:3,spin:4)")
+    rng = np.random.default_rng(16)
+    obj = shifted_spectral(SpectralFunction(schatten(2), spec), random_element(spec, rng))
+    draws, stacks = [], []
+    real_draw, real_lockstep = opt.random_automorphism, opt._orbit_lockstep
+    monkeypatch.setattr(opt, "random_automorphism", lambda *args: draws.append(1) or real_draw(*args))
+    monkeypatch.setattr(opt, "_orbit_lockstep", lambda *args: stacks.append(args[3].copy()) or real_lockstep(*args))
+    multistart_minmax(obj, orbit(random_element(spec, rng)), starts=4, seed=1)
+    assert len(draws) == 3
+    assert len(stacks) == 1 and stacks[0].tolist() == [1.0] * 4 + [-1.0] * 4
+
+
+def test_multistart_minmax_on_a_box_matches_two_one_sense_calls():
+    spec = parse_algebra("sym:3")
+    rng = np.random.default_rng(13)
+    obj = linear_plus_spectral(random_element(spec, rng), SpectralFunction(schatten(3), spec))
+    fset = spectral_box(spec, [1.0, 0.5, -0.5], [2.0, 1.0, 0.0])
+    params = SolverParams(max_iters=20)
+    lo, hi = multistart_minmax(obj, fset, params, starts=3, seed=2)
+    _assert_same_result(lo, multistart(obj, fset, params, starts=3, seed=2))
+    _assert_same_result(hi, multistart(dataclasses.replace(obj, sense="max"), fset, params, starts=3, seed=2))
+
+
+def _same_solve(got, want):
+    assert _bits(got.c) == _bits(want.c)
+    assert _bits(got.value) == _bits(want.value)
+    assert (got.iterations, got.status) == (want.iterations, want.status)
+    assert _bits(got.stationarity) == _bits(want.stationarity)
+
+
+@pytest.mark.parametrize("name", ["sym:3", "prod(sym:3,spin:4)"])
+def test_lockstep_row_does_not_depend_on_its_neighbours(name):
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(14)
+    a, b = random_element(spec, rng), random_element(spec, rng)
+    obj = shifted_spectral(SpectralFunction(schatten(3), spec), a)
+    basis = derivation_basis(spec)
+    fset = orbit(b)
+    X = np.stack([_random_start(fset, rng).coords for _ in range(3)])
+    params = SolverParams()
+    for sgn in (1.0, -1.0):
+        (alone,) = _orbit_lockstep(obj, basis, X[1:2], np.array([sgn]), params)
+        same = _orbit_lockstep(obj, basis, X, np.full(3, sgn), params)
+        opposite = _orbit_lockstep(obj, basis, X, np.array([-sgn, sgn, -sgn]), params)
+        _same_solve(same[1], alone)
+        _same_solve(opposite[1], alone)
+        # the neighbours of opposite sense are the rows a one-sign stack gives them
+        flipped = _orbit_lockstep(obj, basis, X, np.full(3, -sgn), params)
+        _same_solve(opposite[0], flipped[0])
+        _same_solve(opposite[2], flipped[2])
+
+
+def _poison_one_row_calls_at(obj, point):
+    """obj whose one-row subgradient call is NaN at exactly ``point``.
+
+    Stacked calls (the lockstep's) stay healthy, so only the subgradient
+    that finishes a start at ``point`` is poisoned.
+    """
+
+    def subgrad_c(c):
+        g = obj.subgrad_c(c)
+        if c.ndim == 1 and np.array_equal(c, point):
+            return np.full(c.shape, np.nan)
+        return g
+
+    return dataclasses.replace(obj, subgrad_c=subgrad_c, subgradient=None)
+
+
+@pytest.mark.parametrize("name", ["sym:3", "spin:5", "prod(sym:3,spin:4)"])
+def test_non_finite_subgradient_at_the_best_start_falls_back_to_the_next_best(name):
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(15)
+    a, b = random_element(spec, rng), random_element(spec, rng)
+    obj = shifted_spectral(SpectralFunction(schatten(3), spec), a)
+    fset, params = orbit(b), SolverParams()
+    lo, hi = multistart_minmax(obj, fset, params, starts=4, seed=3)
+    assert not np.array_equal(lo.x.coords, hi.x.coords)
+    bad = _poison_one_row_calls_at(obj, lo.x.coords)
+    i, want = _per_start_best(obj, fset, params, 4, 3, skip=(lo.start_index,))
+    got_lo, got_hi = multistart_minmax(bad, fset, params, starts=4, seed=3)
+    one = multistart(bad, fset, params, starts=4, seed=3)
+    for got in (got_lo, one):
+        assert got.start_index == i != lo.start_index
+        assert _bits(got.value) == _bits(want.value)
+        assert _bits(got.x.coords) == _bits(want.x.coords)
+    _assert_same_result(got_lo, one)
+    # the start that failed to minimize still maximizes
+    _assert_same_result(got_hi, hi)
