@@ -11,6 +11,7 @@ independent route the verification suites compare against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -39,7 +40,7 @@ from .liegroup import (
     random_automorphism,
     tangent_stack,
 )
-from .specfun import SpectralFunction, spectral_subgrad_coords, spectral_value_coords
+from .specfun import SpectralFunction, SymmetricFunction, spectral_subgrad_coords, spectral_value_coords
 
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
@@ -59,6 +60,10 @@ FD_STEP = 1e-6
 # spacings from a block's best a row is evaluated again one row at a time
 ORACLE_BLOCK = 5040
 ORACLE_ULPS = 8.0
+# rows per lockstep stack of a batch.  Stacked rows agree bit for bit
+# with one-row stacks at this size; at about 2,000 rows a trial point
+# was seen to move by an ulp
+STACK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -227,24 +232,44 @@ class Objective:
             object.__setattr__(self, "subgradient", lambda x: Element(spec, subgrad_c(x.coords)))
 
 
+class _Shifted:
+    """F(c - a) on coordinates: the value_c and subgrad_c of shifted_spectral.
+
+    Solvers recognise these bound methods and evaluate the rows of every
+    such objective in a stack with one spectral decomposition
+    (``_StackFns``); any other callable, a wrapper of these included, is
+    called as it is.
+    """
+
+    def __init__(self, F: SpectralFunction, ac: np.ndarray):
+        self.F, self.ac = F, ac
+
+    def value_c(self, c: np.ndarray):
+        return spectral_value_coords(self.F, c - self.ac)
+
+    def subgrad_c(self, c: np.ndarray) -> np.ndarray:
+        return spectral_subgrad_coords(self.F, c - self.ac)
+
+    @staticmethod
+    def of(obj: Objective) -> "_Shifted | None":
+        """The kernel whose own methods are obj's callables, else None."""
+        k = getattr(obj.value_c, "__self__", None)
+        if not isinstance(k, _Shifted) or not obj.stacked or obj.algebra != k.F.algebra:
+            return None
+        return k if obj.value_c == k.value_c and obj.subgrad_c == k.subgrad_c else None
+
+
 def shifted_spectral(F: SpectralFunction, a: Element, sense: str = "min") -> Objective:
     """F(x - a) with F's spectral subgradient carried over by the shift."""
-    ac = a.coords
-
-    def value_c(c: np.ndarray) -> float:
-        return spectral_value_coords(F, c - ac)
-
-    def subgrad_c(c: np.ndarray) -> np.ndarray:
-        return spectral_subgrad_coords(F, c - ac)
-
+    kernel = _Shifted(F, a.coords)
     return Objective(
         label=f"{F.f.name}(x - a)",
         algebra=F.algebra,
         sense=sense,
         smooth=True,
         anchors=(("shift_a", a),),
-        value_c=value_c,
-        subgrad_c=subgrad_c,
+        value_c=kernel.value_c,
+        subgrad_c=kernel.subgrad_c,
         stacked=True,
     )
 
@@ -355,24 +380,106 @@ def _diagnostics(obj: Objective, x: Element, g: Element | None) -> CommutationRe
     return CommutationReport(tuple(pairs))
 
 
-def _evaluate(fn, C: np.ndarray, shape: tuple) -> tuple[np.ndarray, dict]:
-    """(fn(C), errors) for an (m, dim) stack.
+def _evaluate(fn, C: np.ndarray, own: np.ndarray, shape: tuple) -> tuple[np.ndarray, dict]:
+    """(fn(C, own), errors) for an (m, dim) stack and its owner column.
 
     When the stacked call raises AlgebraError the rows are retried one
     at a time; a row that raises again comes back NaN, with its error
     under its row index in ``errors``.
     """
     try:
-        return fn(C), {}
+        return fn(C, own), {}
     except AlgebraError as exc:
         if len(C) == 1:
             return np.full(shape, np.nan), {0: exc}
     out, errors = np.full(shape, np.nan), {}
     for i in range(len(C)):
-        row, err = _evaluate(fn, C[i : i + 1], (1,) + shape[1:])
+        row, err = _evaluate(fn, C[i : i + 1], own[i : i + 1], (1,) + shape[1:])
         out[i] = row[0]
         errors.update({i: e for e in err.values()})
     return out, errors
+
+
+def _rowwise(funcs: list[SymmetricFunction], fid: np.ndarray) -> SymmetricFunction:
+    """The function that applies funcs[fid[i]] to row i of an (m, rank) stack.
+
+    Only its value and subgradient are meant; it claims no convexity.
+    """
+    parts = [(f, fid == j) for j, f in enumerate(funcs)]
+    parts = [(f, rows) for f, rows in parts if rows.any()]
+
+    def value(u: np.ndarray) -> np.ndarray:
+        out = np.empty(u.shape[:-1])
+        for f, rows in parts:
+            out[rows] = f.value(u[rows])
+        return out
+
+    def subgrad(u: np.ndarray) -> np.ndarray:
+        out = np.empty(u.shape)
+        for f, rows in parts:
+            out[rows] = f.subgrad(u[rows])
+        return out
+
+    return SymmetricFunction("rowwise", value, subgrad, False, False, False, False)
+
+
+class _StackFns:
+    """Values and subgradients of a stack whose row i belongs to objs[own[i]].
+
+    ``value(C, own)`` and ``grad(C, own)`` return (out, errors) as
+    ``_evaluate`` does, each row in its own objective's terms.  Every
+    distinct objective is called once, on its own rows, except that the
+    rows of objectives built by ``shifted_spectral`` share one call:
+    each row is shifted by its own a, the stack is decomposed once
+    through ``spectral_value_coords`` or ``spectral_subgrad_coords``,
+    and each row gets its own symmetric function and block averaging.
+    The kernels compute each row of a stack alone, so every row gets the
+    bits its objective's own stacked call would give it.
+    """
+
+    def __init__(self, objs: list[Objective]):
+        self.fns = [_coord_fns(o) for o in objs]
+        kernels = [_Shifted.of(o) for o in objs]
+        # owner -> the call its rows go to: -1 is the shared one
+        self.group = np.array([-1 if k else j for j, k in enumerate(kernels)])
+        live = [k for k in kernels if k]
+        if live:
+            self.shift = np.stack([k.ac if k else np.zeros_like(live[0].ac) for k in kernels])
+            # owner -> index of its symmetric function among the distinct ones
+            ids: dict[int, int] = {}
+            self.fid = np.array([ids.setdefault(id(k.F.f), len(ids)) if k else 0 for k in kernels])
+            self.funcs = list({id(k.F.f): k.F.f for k in live}.values())
+            self.spec = live[0].F.algebra
+
+    def value(self, C: np.ndarray, own: np.ndarray):
+        return self._grouped(0, C, own, (len(C),))
+
+    def grad(self, C: np.ndarray, own: np.ndarray):
+        return self._grouped(1, C, own, C.shape)
+
+    def _grouped(self, which: int, C: np.ndarray, own: np.ndarray, shape: tuple):
+        group = self.group[own]
+        if (group == group[0]).all():
+            return _evaluate(self._call(which, group[0]), C, own, shape)
+        out, errors = np.empty(shape), {}
+        for g in np.unique(group):
+            rows = np.flatnonzero(group == g)
+            out[rows], errs = _evaluate(self._call(which, g), C[rows], own[rows], (len(rows),) + shape[1:])
+            errors.update({rows[i]: e for i, e in errs.items()})
+        return out, errors
+
+    def _call(self, which: int, group: int):
+        if group >= 0:
+            fn = self.fns[group][which]
+            return lambda C, own: fn(C)
+        kernel = spectral_value_coords if which == 0 else spectral_subgrad_coords
+
+        def shared(C: np.ndarray, own: np.ndarray):
+            fid = self.fid[own]
+            f = self.funcs[fid[0]] if (fid == fid[0]).all() else _rowwise(self.funcs, fid)
+            return kernel(SpectralFunction(f, self.spec), C - self.shift[own])
+
+        return shared
 
 
 @dataclass(frozen=True)
@@ -391,17 +498,19 @@ class _Lockstep:
 
     Each row carries its own sign in the ``sgn`` column (+1 minimizes,
     -1 maximizes), so rows of both senses share one stack, and ``fc``
-    holds sign times value.  Rows leave the stack as they finish;
-    ``out`` holds each row's _Solve or the AlgebraError that failed it,
-    by row index.
+    holds sign times value.  The ``own`` column indexes the objective
+    the row belongs to, so rows of several problems share one stack.
+    Rows leave the stack as they finish; ``out`` holds each row's _Solve
+    or the AlgebraError that failed it, by row index.
     """
 
-    def __init__(self, starts: np.ndarray, k: int, sgn: np.ndarray):
+    def __init__(self, starts: np.ndarray, k: int, sgn: np.ndarray, own: np.ndarray):
         m = len(starts)
         self.out: list = [None] * m
         self.rows = {
             "id": np.arange(m),
             "sgn": np.array(sgn, dtype=float),
+            "own": np.array(own, dtype=int),
             "c": np.array(starts, dtype=float),
             "fc": np.zeros(m),
             "stat": np.full(m, np.inf),
@@ -432,25 +541,26 @@ class _Lockstep:
         self.rows = {key: v[mask] for key, v in self.rows.items()}
 
 
-def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, sgn: np.ndarray, params: SolverParams) -> list:
+def _orbit_lockstep(objs: list[Objective], basis, starts: np.ndarray, sgn: np.ndarray, own: np.ndarray, params: SolverParams) -> list:
     """Descend from every row of an (m, dim) stack of orbit points at once.
 
-    Each row runs its own descent along automorphism curves
-    x <- exp(t D) x, minimizing ``sgn[row]`` times the objective's value;
-    the objective's own ``sense`` is not read.  Every iteration makes one
-    stacked call for the center pairings, one per Armijo trial round and
-    one for the Hessian probes of the rows that refresh their curvature,
-    over rows of either sign.  The stacked calls compute each row as it
-    would alone and negation is exact, so a row's trajectory does not
-    depend on the other rows.  Returns one entry per row: a _Solve, or
-    the AlgebraError that failed the row when its value or subgradient
-    was not finite or raised.
+    Row i runs its own descent along automorphism curves
+    x <- exp(t D) x, minimizing ``sgn[i]`` times the value of
+    ``objs[own[i]]``; the objectives' own ``sense`` is not read.  Every
+    iteration evaluates the center pairings, each Armijo trial round and
+    the Hessian probes of the rows that refresh their curvature in
+    stacked calls over rows of either sign and any owner (``_StackFns``).
+    The stacked calls compute each row as it would alone and negation is
+    exact, so a row's trajectory does not depend on the other rows.
+    Returns one entry per row: a _Solve, or the AlgebraError that failed
+    the row when its value or subgradient was not finite or raised.
     """
-    val, grad = _coord_fns(obj)
+    fns = _StackFns(objs)
+    smooth = np.array([o.smooth for o in objs])
     dim, k = basis.algebra.dim, basis.dimension
     S = basis.stack
-    st = _Lockstep(starts, k, sgn)
-    fc, errors = _evaluate(val, st["c"], (len(st),))
+    st = _Lockstep(starts, k, sgn, own)
+    fc, errors = fns.value(st["c"], st["own"])
     st["fc"][:] = st["sgn"] * fc
     bad = ~np.isfinite(fc)
     st.fail(bad, errors, "objective value")
@@ -464,7 +574,7 @@ def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, sgn: np.ndarray, 
         if not len(st):
             break
         c, fc = st["c"], st["fc"]
-        g, errors = _evaluate(grad, c, c.shape)
+        g, errors = fns.grad(c, st["own"])
         g = st["sgn"][:, None] * g
         beta = (tangent_stack(basis, c) @ g[:, :, None])[:, :, 0]
         bad = ~np.isfinite(beta).all(axis=1)
@@ -481,32 +591,30 @@ def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, sgn: np.ndarray, 
             if not len(st):
                 break
         d = -beta
-        newton = np.zeros(len(st), dtype=bool)
-        if obj.smooth:
-            # saddle-free Newton endgame: the acceptance tolerances need
-            # the stationarity tail, which plain descent crawls through;
-            # |curvature| keeps saddle escapes at a sane scale
-            newton = (it > 3) | (stat <= 1e-2 * (1.0 + np.abs(fc)))
-            # curvature barely moves inside the quadratic basin, so reuse
-            # the factorization while full steps keep landing
-            refresh = newton & (~st["factored"] | ~st["full_step"] | (st["age"] >= 5))
-            st["age"][newton & ~refresh] += 1
-            if refresh.any():
-                bad = _refresh_curvature(st, basis, grad, beta, refresh)
-                if bad.any():
-                    st.keep(~bad)
-                    beta, stat, newton, d = beta[~bad], stat[~bad], newton[~bad], d[~bad]
-                    c, fc = st["c"], st["fc"]
-                    if not len(st):
-                        break
-            if newton.any():
-                Vp, wp = st["Vp"][newton], st["wp"][newton]
-                y = (Vp.swapaxes(1, 2) @ beta[newton][:, :, None])[:, :, 0] / wp
-                d[newton] = -(Vp @ y[:, :, None])[:, :, 0]
+        # saddle-free Newton endgame for smooth objectives: the acceptance
+        # tolerances need the stationarity tail, which plain descent crawls
+        # through; |curvature| keeps saddle escapes at a sane scale
+        newton = smooth[st["own"]] & ((it > 3) | (stat <= 1e-2 * (1.0 + np.abs(fc))))
+        # curvature barely moves inside the quadratic basin, so reuse
+        # the factorization while full steps keep landing
+        refresh = newton & (~st["factored"] | ~st["full_step"] | (st["age"] >= 5))
+        st["age"][newton & ~refresh] += 1
+        if refresh.any():
+            bad = _refresh_curvature(st, basis, fns, beta, refresh)
+            if bad.any():
+                st.keep(~bad)
+                beta, stat, newton, d = beta[~bad], stat[~bad], newton[~bad], d[~bad]
+                c, fc = st["c"], st["fc"]
+                if not len(st):
+                    break
+        if newton.any():
+            Vp, wp = st["Vp"][newton], st["wp"][newton]
+            y = (Vp.swapaxes(1, 2) @ beta[newton][:, :, None])[:, :, 0] / wp
+            d[newton] = -(Vp @ y[:, :, None])[:, :, 0]
         slope = np.add.reduce(d * beta, axis=1)  # derivative of val along the curve, < 0
         D = (d[:, None, :] @ S.reshape(k, -1)).reshape(-1, dim, dim)
         t = np.where(newton, 1.0, np.minimum(1.0, 2.0 * st["t_prev"]))
-        accepted, stalled, errors = _armijo(val, st["sgn"], D, c, fc, t, slope, newton)
+        accepted, stalled, errors = _armijo(fns, st["sgn"], st["own"], D, c, fc, t, slope, newton)
         st["full_step"][:] = np.where(newton & accepted, t == 1.0, st["full_step"])
         st["t_prev"][:] = np.where(~newton & accepted, t, st["t_prev"])
         failed = np.zeros(len(st), dtype=bool)
@@ -521,7 +629,7 @@ def _orbit_lockstep(obj: Objective, basis, starts: np.ndarray, sgn: np.ndarray, 
     return st.out
 
 
-def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np.ndarray) -> np.ndarray:
+def _refresh_curvature(st: _Lockstep, basis, fns: _StackFns, beta: np.ndarray, refresh: np.ndarray) -> np.ndarray:
     """New saddle-free factorizations for the rows in ``refresh``.
 
     Forward differences of the pairing along each basis curve, off the
@@ -536,7 +644,7 @@ def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np
     c = st["c"][rows]
     h = 1e-5 * (1.0 + np.sqrt(np.add.reduce(c * c, axis=1)))
     probes = basis_curve_points(basis, c, h).reshape(-1, dim)
-    g, errors = _evaluate(grad, probes, probes.shape)
+    g, errors = fns.grad(probes, np.repeat(st["own"][rows], k))
     g = np.repeat(st["sgn"][rows], k)[:, None] * g
     up = (tangent_stack(basis, probes) @ g[:, :, None])[:, :, 0].reshape(-1, k, k)
     H = (up - beta[rows][:, None, :]) / h[:, None, None]
@@ -554,10 +662,10 @@ def _refresh_curvature(st: _Lockstep, basis, grad, beta: np.ndarray, refresh: np
     return bad
 
 
-def _armijo(val, sgn, D, c, fc, t, slope, newton):
+def _armijo(fns: _StackFns, sgn, own, D, c, fc, t, slope, newton):
     """Armijo backtracking for every row, each with its own trial step.
 
-    Rows still pending share one stacked value call per round, on
+    Rows still pending are evaluated together each round, on
     trial points from one eigendecomposition of the skew D; each row
     compares ``sgn`` times the value against its signed ``fc``.  Updates
     c, fc and t in place for accepted rows; returns (accepted, stalled,
@@ -577,7 +685,7 @@ def _armijo(val, sgn, D, c, fc, t, slope, newton):
     curves = SkewCurves.of(D, c)
     for _ in range(MAX_HALVINGS):
         ct = curves.at(t[pend], pend)
-        ft, errs = _evaluate(val, ct, (len(pend),))
+        ft, errs = fns.value(ct, own[pend])
         ft = sgn[pend] * ft
         if errs:
             errors.update({pend[j]: e for j, e in errs.items()})
@@ -642,7 +750,7 @@ def orbit_descent(
     """
     basis = _orbit_basis(obj, fset)
     start = _orbit_start(fset, x0)
-    (row,) = _orbit_lockstep(obj, basis, start[None], np.array([_sign(obj.sense)]), params)
+    (row,) = _orbit_lockstep([obj], basis, start[None], np.array([_sign(obj.sense)]), np.zeros(1, dtype=int), params)
     if isinstance(row, AlgebraError):
         raise row
     return _finish(obj, row)
@@ -663,8 +771,13 @@ def _factor_parts(x: Element):
     return parts
 
 
+@functools.lru_cache(maxsize=None)
 def _permutation_table(n: int) -> np.ndarray:
-    """Every permutation of range(n) as an int8 row, in itertools order."""
+    """Every permutation of range(n) as an int8 row, in itertools order.
+
+    Built on first use per n and kept read-only (315 KiB for n = 8,
+    3.1 MiB for n = 9).
+    """
     table = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, n + 1):
         lead = np.arange(k, dtype=np.int8)[:, None]
@@ -673,6 +786,7 @@ def _permutation_table(n: int) -> np.ndarray:
         out[:, :, 0] = lead
         out[:, :, 1:] = table + (table >= lead[:, :, None])
         table = out.reshape(-1, k)
+    table.setflags(write=False)
     return table
 
 
@@ -893,25 +1007,45 @@ def _draw_starts(fset: FeasibleSet, starts: int, seed: int) -> list[Element | No
     return x0s
 
 
-def _orbit_outcomes(objs: tuple[Objective, ...], fset: FeasibleSet, x0s: list, params: SolverParams) -> list[list]:
-    """Per objective, each start's _Solve or the AlgebraError that failed it.
+def _orbit_outcomes(pending: list, basis, params: SolverParams) -> None:
+    """Run the lockstep rows of orbit problems, filling their outcomes in place.
 
-    The objectives differ only in sense.  Every (objective, start) pair
-    is one row of a single lockstep stack, objective-major, each row
-    signed by its objective's sense.
+    ``pending`` holds, per problem, (objs, points, outcomes): the
+    objectives differ only in sense, points are the checked starts (an
+    AlgebraError for a start that failed its check) and outcomes gets,
+    per objective, each start's _Solve or AlgebraError.  Every
+    (objective, start) pair is one row, problem-major, then
+    objective-major, signed by its objective's sense and owned by its
+    problem.  Whole problems are packed in order into stacks of at most
+    STACK_ROWS rows; a larger problem gets a stack of its own.
     """
-    basis = _orbit_basis(objs[0], fset)
-    points = [_attempt(_orbit_start, fset, x0) for x0 in x0s]
-    live = [i for i, p in enumerate(points) if not isinstance(p, AlgebraError)]
-    outcomes = [list(points) for _ in objs]
-    if live:
-        C = np.stack([points[i] for i in live])
-        sgn = np.repeat([_sign(o.sense) for o in objs], len(live))
-        solves = _orbit_lockstep(objs[0], basis, np.tile(C, (len(objs), 1)), sgn, params)
-        for n, out in enumerate(outcomes):
-            for i, row in zip(live, solves[n * len(live) : (n + 1) * len(live)]):
-                out[i] = row
-    return outcomes
+    jobs = []
+    for objs, points, outcomes in pending:
+        # every outcome starts as the checked point; solves replace the live ones
+        for out in outcomes:
+            out[:] = points
+        live = [i for i, p in enumerate(points) if not isinstance(p, AlgebraError)]
+        if live:
+            jobs.append((objs, live, outcomes))
+    stacks, rows = [], 0
+    for job in jobs:
+        n = len(job[0]) * len(job[1])
+        if not stacks or rows + n > STACK_ROWS:
+            stacks.append([])
+            rows = 0
+        stacks[-1].append(job)
+        rows += n
+    for stack in stacks:
+        C, sgn, own, slots = [], [], [], []
+        for p, (objs, live, outcomes) in enumerate(stack):
+            for o, out in zip(objs, outcomes):
+                C += [out[i] for i in live]
+                sgn += [_sign(o.sense)] * len(live)
+                own += [p] * len(live)
+                slots += [(out, i) for i in live]
+        solves = _orbit_lockstep([objs[0] for objs, _, _ in stack], basis, np.stack(C), np.array(sgn), np.array(own), params)
+        for (out, i), row in zip(slots, solves):
+            out[i] = row
 
 
 def _best(obj: Objective, outcomes: list) -> OptResult:
@@ -936,14 +1070,43 @@ def _best(obj: Objective, outcomes: list) -> OptResult:
     raise AlgebraError(f"all {len(outcomes)} starts failed: {failures[max(failures)]}")
 
 
-def _multistart(objs: tuple[Objective, ...], fset: FeasibleSet, params: SolverParams, starts: int, seed: int) -> list:
-    """One OptResult per objective, all from one drawn start sequence."""
-    x0s = _draw_starts(fset, starts, seed)
-    if fset.variant == "orbit":
-        outcomes = _orbit_outcomes(objs, fset, x0s, params)
-    else:
-        outcomes = [[_attempt(spectralbox_descent, o, fset, x0, params) for x0 in x0s] for o in objs]
+def _results(objs: tuple[Objective, ...], outcomes: list) -> list[OptResult]:
     return [_best(o, out) for o, out in zip(objs, outcomes)]
+
+
+def _solve_batch(problems: list, params: SolverParams, starts: int) -> list:
+    """Per problem (objs, fset, seed): one OptResult per objective, or an error.
+
+    A problem's objectives are one objective in one or more senses, and
+    share the start sequence drawn from its seed.  The error is the
+    AlgebraError that ``multistart`` would raise for the problem.  The
+    rows of all orbit problems run in ``_orbit_outcomes``' stacks; box
+    starts are solved one at a time.
+    """
+    if len({fset.algebra for _, fset, _ in problems}) > 1:
+        raise AlgebraError("problems of one batch must share an algebra")
+    out: list = [None] * len(problems)
+    pending, basis = [], None
+    for p, (objs, fset, seed) in enumerate(problems):
+        try:
+            x0s = _draw_starts(fset, starts, seed)
+            if fset.variant == "orbit":
+                basis = _orbit_basis(objs[0], fset)
+                out[p] = [[] for _ in objs]
+                pending.append((objs, [_attempt(_orbit_start, fset, x0) for x0 in x0s], out[p]))
+            else:
+                out[p] = [[_attempt(spectralbox_descent, o, fset, x0, params) for x0 in x0s] for o in objs]
+        except AlgebraError as exc:
+            out[p] = exc
+    _orbit_outcomes(pending, basis, params)
+    return [res if isinstance(res, AlgebraError) else _attempt(_results, objs, res) for (objs, _, _), res in zip(problems, out)]
+
+
+def _raise_first(outcomes: list) -> list:
+    for res in outcomes:
+        if isinstance(res, AlgebraError):
+            raise res
+    return outcomes
 
 
 def multistart(
@@ -963,8 +1126,33 @@ def multistart(
     built only for the returned start.  ``multistart_minmax`` is the
     two-sense call.
     """
-    (res,) = _multistart((obj,), fset, params, starts, seed)
+    ((res,),) = _raise_first(_solve_batch([((obj,), fset, seed)], params, starts))
     return res
+
+
+def _minmax_outcomes(problems: list, params: SolverParams, starts: int) -> list:
+    """Per (obj, fset, seed), the (min, max) pair or the AlgebraError for it."""
+    both = [((replace(obj, sense="min"), replace(obj, sense="max")), fset, seed) for obj, fset, seed in problems]
+    return [res if isinstance(res, AlgebraError) else tuple(res) for res in _solve_batch(both, params, starts)]
+
+
+def multistart_minmax_batch(
+    problems: list[tuple[Objective, FeasibleSet, int]],
+    params: SolverParams = SolverParams(),
+    starts: int = 8,
+) -> list[tuple[OptResult, OptResult]]:
+    """``multistart_minmax`` for every (obj, fset, seed) in problems.
+
+    The problems must share one algebra.  Each problem draws its own
+    start sequence from its seed; over orbits, the rows of all problems,
+    both senses and every start run in lockstep stacks of at most
+    STACK_ROWS rows.  Rows of objectives built by ``shifted_spectral``
+    share one spectral decomposition per stacked call.  Every pair is
+    what ``multistart_minmax`` returns for its problem alone, bit for
+    bit; when that call would raise for some problem, the batch raises
+    the error of the first such problem.
+    """
+    return _raise_first(_minmax_outcomes(problems, params, starts))
 
 
 def multistart_minmax(
@@ -980,7 +1168,7 @@ def multistart_minmax(
     once and serves both senses; over an orbit, all 2 * starts rows run
     as one lockstep stack, each row signed by its sense.  Each result
     is what ``multistart(replace(obj, sense=s), ...)`` returns, bit for
-    bit.
+    bit.  This is the one-problem call of ``multistart_minmax_batch``.
     """
-    lo, hi = _multistart((replace(obj, sense="min"), replace(obj, sense="max")), fset, params, starts, seed)
-    return lo, hi
+    (pair,) = multistart_minmax_batch([(obj, fset, seed)], params, starts)
+    return pair

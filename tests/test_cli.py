@@ -232,3 +232,15 @@ def test_demo_usage_errors_exit_2(capsys):
     assert code == 2 and "trials must be >= 1" in err and not out
     code, _, _ = run(capsys, "demo", "kappa", "--eps", "0.5", "--algebra", "nope:3", "--trials", "1")
     assert code == 2
+
+
+def test_consecutive_calls_do_not_leak_options(capsys, tmp_path):
+    # the parser is built once per process; options of one call must not
+    # reach the defaults of the next
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    run(capsys, "verify", "--suite", "shifted", "--algebra", "sym:2", "--trials", "1", "--out", str(first))
+    run(capsys, "verify", "--trials", "1", "--out", str(second))
+    assert json.loads(first.read_text())["config"]["suite"] == ["shifted"]
+    config = json.loads(second.read_text())["config"]
+    assert config["suite"] == ["all"] and config["algebra"] == ["sym:3"]
+    assert [r["suite"] for r in json.loads(second.read_text())["suites"]][:2] == ["smooth", "max"]

@@ -379,6 +379,9 @@ def test_permutation_table_is_itertools_order(n):
     table = _permutation_table(n)
     assert table.dtype == np.int8
     assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
+    # kept across calls, so no caller may write to it
+    assert _permutation_table(n) is table
+    assert not table.flags.writeable
 
 
 def test_permutation_oracle_rank_limit():

@@ -15,6 +15,7 @@ from ejalg import (
     linear_plus_spectral,
     multistart,
     multistart_minmax,
+    multistart_minmax_batch,
     orbit,
     orbit_descent,
     parse_algebra,
@@ -30,7 +31,7 @@ from ejalg.algebra import _decompose_rows, _eigvals, canonical_frame, multiplici
 from ejalg.liegroup import SkewCurves, basis_curve_points, exp_action
 from ejalg.optimize import _orbit_lockstep, _random_start, membership
 from ejalg.specfun import spectral_subgrad_coords, spectral_value_coords
-from ejalg.verify import _quadratic_plus_norm
+from ejalg.verify import _maxaffine_objective, _quadratic_plus_norm
 
 ALGEBRAS = ["rn:4", "sym:3", "sym:4", "spin:4", "prod(sym:3,spin:4)", "prod(rn:2,sym:2)"]
 FUNCTIONS = [sumsq(), schatten(1.5), schatten(2), schatten(3)]
@@ -474,13 +475,13 @@ def test_lockstep_row_does_not_depend_on_its_neighbours(name):
     X = np.stack([_random_start(fset, rng).coords for _ in range(3)])
     params = SolverParams()
     for sgn in (1.0, -1.0):
-        (alone,) = _orbit_lockstep(obj, basis, X[1:2], np.array([sgn]), params)
-        same = _orbit_lockstep(obj, basis, X, np.full(3, sgn), params)
-        opposite = _orbit_lockstep(obj, basis, X, np.array([-sgn, sgn, -sgn]), params)
+        (alone,) = _orbit_lockstep([obj], basis, X[1:2], np.array([sgn]), np.zeros(1, dtype=int), params)
+        same = _orbit_lockstep([obj], basis, X, np.full(3, sgn), np.zeros(3, dtype=int), params)
+        opposite = _orbit_lockstep([obj], basis, X, np.array([-sgn, sgn, -sgn]), np.zeros(3, dtype=int), params)
         _same_solve(same[1], alone)
         _same_solve(opposite[1], alone)
         # the neighbours of opposite sense are the rows a one-sign stack gives them
-        flipped = _orbit_lockstep(obj, basis, X, np.full(3, -sgn), params)
+        flipped = _orbit_lockstep([obj], basis, X, np.full(3, -sgn), np.zeros(3, dtype=int), params)
         _same_solve(opposite[0], flipped[0])
         _same_solve(opposite[2], flipped[2])
 
@@ -521,3 +522,210 @@ def test_non_finite_subgradient_at_the_best_start_falls_back_to_the_next_best(na
     _assert_same_result(got_lo, one)
     # the start that failed to minimize still maximizes
     _assert_same_result(got_hi, hi)
+
+
+# -- many problems in one batch -------------------------------------------------
+
+
+BATCH_ALGEBRAS = ["sym:3", "spin:5", "prod(sym:3,spin:4)"]
+
+
+def _batch_problems(spec, rng, kappa=False):
+    """(obj, fset, seed) of every objective family, each on its own orbit."""
+    objs = [shifted_spectral(SpectralFunction(f, spec), random_element(spec, rng)) for f in (schatten(2), schatten(3), sumsq())]
+    objs.append(shifted_spectral(SpectralFunction(schatten(3), spec), random_element(spec, rng)))
+    objs.append(linear_plus_spectral(random_element(spec, rng), SpectralFunction(sumsq(), spec)))
+    A = rng.standard_normal((spec.dim, spec.dim))
+    objs.append(_quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), rng.standard_normal(spec.dim)))
+    # nonsmooth: plain subgradient steps beside the Newton rows
+    objs.append(_maxaffine_objective(spec, rng.standard_normal((2, spec.dim)), rng.standard_normal(2), sumsq()))
+    if kappa:
+        objs.append(kappa_shift(unit(spec) * 6.0 + random_element(spec, rng)))
+    return [(o, orbit(random_element(spec, rng)), int(rng.integers(1000))) for o in objs]
+
+
+def _assert_batch_matches_alone(problems, params, starts=4):
+    got = multistart_minmax_batch(problems, params, starts)
+    assert len(got) == len(problems)
+    for (obj, fset, seed), pair in zip(problems, got):
+        for g, w in zip(pair, multistart_minmax(obj, fset, params, starts, seed)):
+            _assert_same_result(g, w)
+
+
+@pytest.mark.parametrize("name", BATCH_ALGEBRAS)
+def test_batch_matches_one_problem_calls(name):
+    spec = parse_algebra(name)
+    _assert_batch_matches_alone(_batch_problems(spec, np.random.default_rng(20)), SolverParams())
+
+
+@pytest.mark.parametrize("name", BATCH_ALGEBRAS)
+def test_batch_with_finite_difference_objectives_matches_one_problem_calls(name):
+    # kappa has no subgradient oracle: central differences, row by row;
+    # exactness needs no convergence, so a short budget keeps this quick
+    spec = parse_algebra(name)
+    problems = _batch_problems(spec, np.random.default_rng(21), kappa=True)
+    _assert_batch_matches_alone(problems[::-1], SolverParams(max_iters=30))
+
+
+def test_nonsmooth_rows_refresh_no_curvature(monkeypatch):
+    import ejalg.optimize as opt
+
+    problems = _batch_problems(parse_algebra("sym:3"), np.random.default_rng(28))
+    nonsmooth = [j for j, (obj, _, _) in enumerate(problems) if not obj.smooth]
+    assert nonsmooth and len(nonsmooth) < len(problems)
+    owners = []
+    real = opt._refresh_curvature
+    monkeypatch.setattr(opt, "_refresh_curvature", lambda st, *args: owners.extend(st["own"][args[-1]]) or real(st, *args))
+    multistart_minmax_batch(problems, SolverParams(), 4)
+    assert owners and not set(owners) & set(nonsmooth)
+
+
+def test_batch_rejects_mixed_algebras():
+    rng = np.random.default_rng(22)
+    problems = _batch_problems(parse_algebra("sym:3"), rng)[:1] + _batch_problems(parse_algebra("spin:4"), rng)[:1]
+    with pytest.raises(AlgebraError, match="algebra"):
+        multistart_minmax_batch(problems)
+    assert multistart_minmax_batch([]) == []
+
+
+def _hostile_kernels(spec, rng):
+    """shifted_spectral objectives whose shifts make the rows below tied or near-tied."""
+    return [shifted_spectral(SpectralFunction(f, spec), random_element(spec, rng)) for f in (schatten(2), schatten(3), sumsq(), schatten(1.5))]
+
+
+@pytest.mark.parametrize("name", ["sym:3", "spin:4", "prod(sym:3,spin:4)", "rn:4"])
+def test_shared_shifted_call_matches_per_objective_calls(name):
+    from ejalg.optimize import _StackFns, _evaluate
+
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(23)
+    objs = _hostile_kernels(spec, rng)
+    # rows x + a_j of the hostile stack: x - a_j is tied, near-tied or a tiny spin vector
+    X = _hostile_stack(spec, rng)
+    own = np.resize(np.arange(len(objs)), len(X) * 2)
+    C = np.concatenate([X, X]) + np.stack([objs[j].anchors[0][1].coords for j in own])
+    fns = _StackFns(objs)
+    assert (fns.group == -1).all()
+    vals, verr = fns.value(C, own)
+    subs, serr = fns.grad(C, own)
+    assert not verr and not serr
+    for j, obj in enumerate(objs):
+        rows = np.flatnonzero(own == j)
+        assert _bits(vals[rows]) == _bits(obj.value_c(C[rows]))
+        assert _bits(subs[rows]) == _bits(obj.subgrad_c(C[rows]))
+        # and a row alone, in a one-row stack
+        for i in rows:
+            assert _bits(subs[i]) == _bits(obj.subgrad_c(C[i : i + 1])[0])
+    # a function that refuses some rows: those rows fail alone, the rest keep their bits
+    f = schatten(3)
+    a1 = objs[1].anchors[0][1]
+    limit = np.median(_eigvals(spec, C[own == 1] - a1.coords)[:, 0])
+
+    def value(u):
+        if (u[..., 0] > limit).any():
+            raise AlgebraError("refused")
+        return f.value(u)
+
+    refusing = dataclasses.replace(f, value=value)
+    objs[1] = shifted_spectral(SpectralFunction(refusing, spec), a1)
+    fns = _StackFns(objs)
+    vals, verr = fns.value(C, own)
+    assert 0 < len(verr) < np.sum(own == 1)
+    for j, obj in enumerate(objs):
+        rows = np.flatnonzero(own == j)
+        want, werr = _evaluate(lambda c, _: obj.value_c(c), C[rows], own[rows], (len(rows),))
+        assert _bits(vals[rows]) == _bits(want)
+        assert {rows[i]: str(e) for i, e in werr.items()} == {i: str(e) for i, e in verr.items() if own[i] == j}
+
+
+def test_wrapped_callables_take_the_per_objective_path():
+    from ejalg.optimize import _StackFns
+
+    spec = parse_algebra("prod(sym:3,spin:4)")
+    problems = _batch_problems(spec, np.random.default_rng(24))[:4]
+    wrapped = []
+    for obj, fset, seed in problems:
+        value_c, subgrad_c = obj.value_c, obj.subgrad_c
+        obj = dataclasses.replace(obj, value_c=lambda c, f=value_c: f(c), subgrad_c=lambda c, f=subgrad_c: f(c))
+        wrapped.append((obj, fset, seed))
+    assert (_StackFns([o for o, _, _ in wrapped]).group == np.arange(4)).all()
+    for got, want in zip(multistart_minmax_batch(wrapped), multistart_minmax_batch(problems)):
+        for g, w in zip(got, want):
+            _assert_same_result(g, w)
+
+
+def test_batch_result_does_not_depend_on_its_stack_or_position(monkeypatch):
+    import ejalg.optimize as opt
+
+    spec = parse_algebra("sym:3")
+    rng = np.random.default_rng(25)
+    per_stack = opt.STACK_ROWS // 8  # 4 starts in two senses
+    problems = []
+    while len(problems) < per_stack + 1:
+        problems += _batch_problems(spec, rng)[:4]
+    problems = problems[: per_stack + 1]
+    probe = problems[0]
+    alone = multistart_minmax(*probe[:2], SolverParams(), 4, probe[2])
+    sizes = []
+    real = opt._orbit_lockstep
+    monkeypatch.setattr(opt, "_orbit_lockstep", lambda *args: sizes.append(len(args[2])) or real(*args))
+    # first of a full stack, last of a full stack, first of the next stack
+    for at in (0, per_stack - 1, per_stack):
+        batch = problems[1:]
+        batch.insert(at, probe)
+        sizes.clear()
+        got = multistart_minmax_batch(batch, SolverParams(), 4)
+        assert sizes == [opt.STACK_ROWS, 8]
+        for g, w in zip(got[at], alone):
+            _assert_same_result(g, w)
+
+
+def test_failed_starts_stay_inside_their_problem():
+    spec, a, b, F = _shift_problem()
+    rng = np.random.default_rng(26)
+    healthy = _batch_problems(spec, rng)[:3]
+    seed = 4
+    x1 = _random_start(orbit(b), np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
+    partly = (_poisoned(F, a, lambda c: np.all(c == x1.coords, axis=-1)), orbit(b), seed)
+    _assert_batch_matches_alone([healthy[0], partly] + healthy[1:], SolverParams())
+
+
+def _refusing(spec, a, text):
+    good = shifted_spectral(SpectralFunction(sumsq(), spec), a)
+
+    def value_c(c):
+        raise AlgebraError(text)
+
+    return Objective(label=text, algebra=spec, sense="min", value_c=value_c, subgrad_c=good.subgrad_c, stacked=True)
+
+
+def test_batch_raises_the_first_problem_that_every_start_fails():
+    spec, a, b, F = _shift_problem()
+    healthy = _batch_problems(spec, np.random.default_rng(27))[:2]
+    first, second = (_refusing(spec, a, t) for t in ("first refusal", "second refusal"))
+    with pytest.raises(AlgebraError) as alone:
+        multistart_minmax(first, orbit(b), SolverParams(), 3, 0)
+    assert "all 3 starts failed" in str(alone.value)
+    for order in ((first, second), (second, first)):
+        batch = [healthy[0], (order[0], orbit(b), 0), healthy[1], (order[1], orbit(b), 0)]
+        with pytest.raises(AlgebraError) as got:
+            multistart_minmax_batch(batch, SolverParams(), 3)
+        with pytest.raises(AlgebraError) as want:
+            multistart_minmax(order[0], orbit(b), SolverParams(), 3, 0)
+        assert str(got.value) == str(want.value)
+
+
+def test_shifted_suite_fails_at_the_first_failing_trial(monkeypatch):
+    import ejalg.verify as ver
+
+    cfg = ver.SuiteConfig(algebra=parse_algebra("sym:3"), trials=4, seed=5)
+    real = ver.shifted_spectral
+    made = []
+
+    def failing_from_trial_1(F, a, sense="min"):
+        made.append(a)
+        return real(F, a, sense) if len(made) == 1 else _refusing(F.algebra, a, f"trial {len(made) - 1}")
+
+    monkeypatch.setattr(ver, "shifted_spectral", failing_from_trial_1)
+    with pytest.raises(AlgebraError, match="trial 1"):
+        ver.verify_shifted_principle(cfg)
