@@ -119,9 +119,6 @@ class Automorphism:
             raise AlgebraError("algebra mismatch")
         return Element(self.algebra, self.matrix @ x.coords)
 
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.algebra, self.matrix.T.copy())
-
 
 def _expm(A: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring with a fixed-order Taylor core."""
@@ -188,7 +185,11 @@ class SkewCurves:
         theta = self.mu[rows] * np.asarray(t)[..., None]
         # exp(-i theta) - 1 without cancellation
         step = -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
-        return self.x[rows] + (self.U[rows] @ (step[..., None] * self.z[rows])).real[..., 0]
+        # a named operand: numpy reuses a large unnamed temporary as the
+        # product's output, and its in-place complex multiply rounds
+        # differently, so a row would depend on the size of its stack
+        z = self.z[rows]
+        return self.x[rows] + (self.U[rows] @ (step[..., None] * z)).real[..., 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,12 +218,12 @@ def multiplicativity_residual(spec: AlgebraSpec, X: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
 
 
-def exp_derivation(spec: AlgebraSpec, D: np.ndarray, validate: bool = True) -> Automorphism:
+def exp_derivation(spec: AlgebraSpec, D: np.ndarray) -> Automorphism:
     """exp(D) as an Automorphism; rejects non-derivations."""
     D = np.asarray(D, dtype=float)
     if D.shape != (spec.dim, spec.dim):
         raise AlgebraError(f"map shape {D.shape} does not match dim {spec.dim}")
-    if validate and not is_derivation(spec, D):
+    if not is_derivation(spec, D):
         raise AlgebraError("input map violates the Leibniz rule")
     return Automorphism(spec, _expm(D))
 
@@ -238,7 +239,7 @@ def random_derivation(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray
 
 
 def random_automorphism(spec: AlgebraSpec, rng: np.random.Generator) -> Automorphism:
-    return exp_derivation(spec, random_derivation(spec, rng), validate=False)
+    return Automorphism(spec, _expm(random_derivation(spec, rng)))
 
 
 def project_perp_derivations(spec: AlgebraSpec, H: np.ndarray) -> np.ndarray:

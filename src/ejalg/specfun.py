@@ -277,14 +277,6 @@ def strict_schur_probe(f: SymmetricFunction, trials: int, rng: np.random.Generat
     return {"trials": trials, "violations": violations, "min_margin": float(min_margin)}
 
 
-def condition_number(x: Element) -> float:
-    """lambda_1 / lambda_rank; defined only on the interior of the cone."""
-    lam = eigenvalue_map(x)
-    if lam[-1] <= 0.0:
-        raise AlgebraError("condition number needs a strictly positive element")
-    return float(lam[0] / lam[-1])
-
-
 def monotone_pairing_check(x: Element, v: Element, tol: float = TIE_TOL) -> bool:
     """Strict order agreement: lambda_i(x) > lambda_j(x) forces the same in v."""
     if x.algebra != v.algebra:

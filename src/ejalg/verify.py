@@ -79,9 +79,9 @@ SIMPLEX_ITERS = 500
 CREASE_ITERS = 20
 # relative gap allowed between a solver's optimal value and the oracle's
 VALUE_TOL = 1e-6
-# the kappa demo's monotonicity certificate comes from the zero start, not
-# from deep convergence; a moderate budget keeps the demo quick
-KAPPA_PARAMS = SolverParams(max_iters=150, tol=1e-7)
+# the kappa demo's monotonicity certificate comes from the zero start; at
+# this tol the box solver's value is within rounding of the closed forms
+KAPPA_PARAMS = SolverParams(max_iters=150, tol=1e-8)
 
 
 @dataclass(frozen=True)
@@ -875,8 +875,8 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5) -> SuiteReport:
     spec = cfg.algebra
     fset = spectral_box(spec, -eps, eps)
 
-    def record(trial, a: Element, kappa_a: float, seed: int, starts: int = 2) -> dict:
-        res = multistart(kappa_shift(a, "min"), fset, KAPPA_PARAMS, starts=starts, seed=seed)
+    def record(trial, a: Element, kappa_a: float, seed: int) -> dict:
+        res = multistart(kappa_shift(a, "min"), fset, KAPPA_PARAMS, starts=2, seed=seed)
         kappa_x = float(res.value)
         oracle = kappa_clipping_oracle(eigenvalue_map(a), eps)
         return {
@@ -906,16 +906,14 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5) -> SuiteReport:
     records = [trial(i) for i in range(cfg.trials)]
     notes = []
     # reference instance: spectrum (4, 2, 1) on a random frame has a
-    # closed-form optimum (4 - eps) / (1 + eps), which the box solver's
-    # frame curves reach only on a connected orbit
+    # closed-form optimum (4 - eps) / (1 + eps); the frame is drawn from
+    # the automorphisms, which move frames only on a connected orbit
     if spec.rank == 3 and orbit_is_connected(spec):
         rng = _trial_rng(cfg, "kappa", 10**6)
         X = random_automorphism(spec, rng)
         frame_rows = np.stack([X.apply(e).coords for e in canonical_frame(spec)])
         a = Element(spec, np.array([4.0, 2.0, 1.0]) @ frame_rows)
-        # local basins near the isotropic corner absorb some random starts,
-        # so the closed-form check gets a deeper start menu
-        rec = record("reference", a, 4.0, _ms_seed(rng), starts=6)
+        rec = record("reference", a, 4.0, _ms_seed(rng))
         rec["oracle_gap"] = abs(rec["kappa_after"] - rec["oracle"])
         if rec["oracle_gap"] > 1e-4 or rec["increase"] > 1e-12:
             rec["status"] = "violation"

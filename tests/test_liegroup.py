@@ -127,14 +127,6 @@ def test_expm_agrees_with_series_small():
     assert np.allclose(_expm(A), E, atol=1e-12)
 
 
-def test_group_inverse():
-    spec = parse_algebra("sym:3")
-    rng = np.random.default_rng(2)
-    X = random_automorphism(spec, rng)
-    x = random_element(spec, rng)
-    assert norm(X.inverse().apply(X.apply(x)) - x) <= 1e-10
-
-
 def test_automorphism_preserves_product_and_inner():
     spec = parse_algebra("prod(sym:3,spin:4)")
     rng = np.random.default_rng(4)

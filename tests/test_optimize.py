@@ -15,6 +15,7 @@ from ejalg import (
     Objective,
     SolverParams,
     SpectralFunction,
+    canonical_frame,
     combine,
     eigenvalue_map,
     kappa_shift,
@@ -38,7 +39,8 @@ from ejalg import (
     unit,
 )
 from ejalg.algebra import split_factors
-from ejalg.optimize import _factor_parts, _permutation_table, membership
+from ejalg.algebra import _decompose_rows
+from ejalg.optimize import _coord_fns, _draw_starts, _factor_parts, _permutation_table, membership
 from ejalg.verify import _max_objective, _maxaffine_objective, _quadratic_plus_norm
 
 
@@ -547,6 +549,41 @@ def test_box_descent_feasible_iterate():
     res = multistart(obj, fset, SolverParams(max_iters=100, tol=1e-6), starts=2, seed=0)
     ok, _ = membership(fset, res.x)
     assert ok
+
+
+def test_box_descent_leaves_tied_corner():
+    # the kappa demo's reference instance: spectrum (4, 2, 1) on a random frame
+    spec = parse_algebra("sym:3")
+    X = random_automorphism(spec, np.random.default_rng(53))
+    a = Element(spec, np.array([4.0, 2.0, 1.0]) @ np.stack([X.apply(e).coords for e in canonical_frame(spec)]))
+    # at 0.5 e every eigenvalue sits on the upper bound, tied
+    res = spectralbox_descent(kappa_shift(a, "min"), spectral_box(spec, -0.5, 0.5), unit(spec) * 0.5, SolverParams(150, 1e-8))
+    assert abs(res.value - 3.5 / 1.5) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["sym:3", "spin:4", "prod(sym:2,spin:3)"])
+def test_box_converged_means_projected_step_within_tol(name):
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(19)
+    lo, hi = -0.5, 0.5
+    fset = spectral_box(spec, lo, hi)
+    params = SolverParams(max_iters=150, tol=1e-8)
+    converged = 0
+    for trial in range(3):
+        a = random_element(spec, rng) + unit(spec) * 5.0
+        obj = kappa_shift(a, "min")
+        _, grad = _coord_fns(obj)
+        for x0 in _draw_starts(fset, 3, trial) + [unit(spec) * 0.5]:
+            res = spectralbox_descent(obj, fset, x0, params)
+            if res.status != "converged":
+                continue
+            converged += 1
+            c = res.x.coords
+            u, frame_rows = _decompose_rows(spec, c - grad(c))
+            step = np.linalg.norm(c - project_sorted_box(u, fset.lower, fset.upper) @ frame_rows)
+            assert step <= params.tol
+            assert res.stationarity == step
+    assert converged
 
 
 def test_multistart_rejects_mismatched_set():

@@ -15,7 +15,6 @@ from ejalg import (
     builtin_function,
     check_strict_schur,
     combine,
-    condition_number,
     eigenvalue_map,
     inner,
     is_subgradient,
@@ -65,14 +64,6 @@ def test_builtin_function_names():
 def test_kappa_needs_positive_spectrum():
     with pytest.raises(ValueError):
         kappa_function().value(np.array([1.0, 0.0]))
-
-
-def test_condition_number():
-    spec = parse_algebra("sym:3")
-    x = Element(spec, np.array([4.0, 0.0, 0.0, 2.0, 0.0, 1.0]))
-    assert abs(condition_number(x) - 4.0) <= 1e-12
-    with pytest.raises(AlgebraError):
-        condition_number(Element(spec, np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.5])))
 
 
 def test_spectral_value_is_orbit_invariant():

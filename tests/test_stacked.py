@@ -28,7 +28,7 @@ from ejalg import (
     unit,
 )
 from ejalg.algebra import _decompose_rows, _eigvals, canonical_frame, multiplicity_blocks
-from ejalg.liegroup import SkewCurves, basis_curve_points, exp_action
+from ejalg.liegroup import SkewCurves, basis_curve_points, exp_action, tangent_stack
 from ejalg.optimize import _orbit_lockstep, _random_start, membership
 from ejalg.specfun import spectral_subgrad_coords, spectral_value_coords
 from ejalg.verify import _maxaffine_objective, _quadratic_plus_norm
@@ -153,6 +153,37 @@ def test_skew_curves_match_exp_action_and_stay_on_the_orbit(name):
             # the map is orthogonal up to the rounding of its angles
             _close(_eigvals(spec, got[i]), _eigvals(spec, X[i]), 1e-15 * (1.0 + size) * spec.dim)
     _close(curves.at(np.array([0.5, 0.5]), np.array([3, 1])), curves.at(np.full(4, 0.5))[[3, 1]])
+
+
+def test_rows_past_the_temporary_elision_size_match_one_row_calls():
+    # numpy reuses an unnamed temporary above 256 KiB as an operation's
+    # output; 7,000 rows of sym:4 put every operand above 512 KiB
+    spec = parse_algebra("sym:4")
+    basis = derivation_basis(spec)
+    rng = np.random.default_rng(6)
+    m = 7000
+    X = rng.standard_normal((m, spec.dim))
+    assert X.nbytes > 512 * 1024
+    D = np.tensordot(rng.standard_normal((m, basis.dimension)), basis.stack, axes=(1, 0))
+    t = rng.uniform(0.0, 2.0, m)
+    rows = np.arange(m)
+    curves = SkewCurves.of(D, X)
+    stacked = {
+        "at": curves.at(t, rows),
+        "curve_points": basis_curve_points(basis, X, t),
+        "eigvals": _eigvals(spec, X),
+        "decompose": _decompose_rows(spec, X),
+        "tangent": tangent_stack(basis, X),
+    }
+    for i in range(m):
+        one = slice(i, i + 1)
+        assert _bits(curves.at(t[one], rows[one])[0]) == _bits(stacked["at"][i])
+        assert _bits(basis_curve_points(basis, X[one], t[one])[0]) == _bits(stacked["curve_points"][i])
+        assert _bits(_eigvals(spec, X[one])[0]) == _bits(stacked["eigvals"][i])
+        lam, F = _decompose_rows(spec, X[one])
+        assert _bits(lam[0]) == _bits(stacked["decompose"][0][i])
+        assert _bits(F[0]) == _bits(stacked["decompose"][1][i])
+        assert _bits(tangent_stack(basis, X[one])[0]) == _bits(stacked["tangent"][i])
 
 
 def test_skew_curves_keep_slow_rotations_beside_fast_ones():

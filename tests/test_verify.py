@@ -222,11 +222,19 @@ def test_demo_kappa_reference_only_for_rank3():
     assert ref[0]["oracle_gap"] <= 1e-4
     rep = demo_kappa(small("rn:4", trials=2), eps=0.5)
     assert not any(r["trial"] == "reference" for r in rep.records)
-    # rank 3, but the box solver's frame curves cannot reorder rn:3
+    # rank 3, but rn:3 has no derivations, so no random frame to draw on
     rep = demo_kappa(small("rn:3", trials=1), eps=0.5)
     assert rep.passed
     assert not any(r["trial"] == "reference" for r in rep.records)
     assert "no reference: orbit not connected" in rep.notes
+
+
+@pytest.mark.parametrize("seed", [24, 53, 54])
+def test_demo_kappa_reference_reaches_closed_form(seed):
+    rep = demo_kappa(small(trials=1, seed=seed), eps=0.5)
+    (ref,) = [r for r in rep.records if r["trial"] == "reference"]
+    assert ref["status"] == "ok"
+    assert ref["oracle_gap"] <= 1e-4
 
 
 def test_demo_kappa_never_increases():
