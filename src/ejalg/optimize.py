@@ -200,15 +200,14 @@ class OptResult:
 class Objective:
     """Value and subgradient on coordinates, with a sense and diagnostic anchors.
 
-    Solvers read only ``value_c`` and ``subgrad_c``; a missing
-    ``subgrad_c`` means central finite differences.  ``smooth`` hints
-    whether a Newton endgame is worthwhile; nonsmooth objectives use
-    plain subgradient steps.  ``stacked`` marks ``value_c``/``subgrad_c``
-    that also map an (m, dim) stack row by row to (m,) values and
-    (m, dim) subgradients; solvers evaluate other objectives one row at
-    a time.  ``value`` and ``subgradient`` are their Element views,
-    derived when not given; the derived subgradient rejects a result
-    that is not finite.
+    ``value_c`` and ``subgrad_c`` map an (m, dim) stack row by row to
+    (m,) values and (m, dim) subgradients; solvers call them on stacks
+    only, a single point as a one-row stack.  A missing ``subgrad_c``
+    means central finite differences.  ``smooth`` hints whether a Newton
+    endgame is worthwhile; nonsmooth objectives use plain subgradient
+    steps.  ``value`` and ``subgradient`` are their Element views,
+    derived through a one-row stack when not given; the derived
+    subgradient rejects a result that is not finite.
     """
 
     label: str
@@ -218,7 +217,6 @@ class Objective:
     subgrad_c: Callable[[np.ndarray], np.ndarray] | None = None
     smooth: bool = True
     anchors: tuple[tuple[str, Element], ...] = ()
-    stacked: bool = False
     value: Callable[[Element], float] | None = None
     subgradient: Callable[[Element], Element] | None = None
 
@@ -227,9 +225,9 @@ class Objective:
             raise AlgebraError(f"sense must be min or max, got {self.sense!r}")
         spec, value_c, subgrad_c = self.algebra, self.value_c, self.subgrad_c
         if self.value is None:
-            object.__setattr__(self, "value", lambda x: value_c(x.coords))
+            object.__setattr__(self, "value", lambda x: float(value_c(x.coords[None])[0]))
         if self.subgradient is None and subgrad_c is not None:
-            object.__setattr__(self, "subgradient", lambda x: Element(spec, subgrad_c(x.coords)))
+            object.__setattr__(self, "subgradient", lambda x: Element(spec, subgrad_c(x.coords[None])[0]))
 
 
 class _Shifted:
@@ -254,7 +252,7 @@ class _Shifted:
     def of(obj: Objective) -> "_Shifted | None":
         """The kernel whose own methods are obj's callables, else None."""
         k = getattr(obj.value_c, "__self__", None)
-        if not isinstance(k, _Shifted) or not obj.stacked or obj.algebra != k.F.algebra:
+        if not isinstance(k, _Shifted) or obj.algebra != k.F.algebra:
             return None
         return k if obj.value_c == k.value_c and obj.subgrad_c == k.subgrad_c else None
 
@@ -270,7 +268,6 @@ def shifted_spectral(F: SpectralFunction, a: Element, sense: str = "min") -> Obj
         anchors=(("shift_a", a),),
         value_c=kernel.value_c,
         subgrad_c=kernel.subgrad_c,
-        stacked=True,
     )
 
 
@@ -297,7 +294,6 @@ def linear_plus_spectral(c: Element, F: SpectralFunction | None, sense: str = "m
         anchors=(("c", c),),
         value_c=value_c,
         subgrad_c=subgrad_c,
-        stacked=True,
     )
 
 
@@ -310,11 +306,10 @@ def kappa_shift(a: Element, sense: str = "min") -> Objective:
     spec = a.algebra
     ac = a.coords
 
-    def value_c(c: np.ndarray) -> float:
+    def value_c(c: np.ndarray):
         lam = _eigvals(spec, c + ac)
-        if lam[-1] <= KAPPA_SAFE:
-            return np.inf
-        return float(lam[0] / lam[-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(lam[..., -1] <= KAPPA_SAFE, np.inf, lam[..., 0] / lam[..., -1])
 
     return Objective(
         label="kappa(x + a)",
@@ -331,42 +326,44 @@ def _sign(sense: str) -> float:
     return 1.0 if sense == "min" else -1.0
 
 
-def _coord_fns(obj: Objective):
-    """(value_fn, grad_fn) on raw coords, in the objective's own sense.
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of two broadcast (..., n) stacks.
 
-    Both functions take one coordinate row or an (m, dim) stack; stacks
-    go to the objective whole when it is ``stacked`` and row by row
-    otherwise.
+    The stack is the matmul's batch axis, so every row gets one BLAS dot
+    of its own, the call a 1-D row makes: its bits do not depend on the
+    stack, as they would under one product across the rows.
     """
-    spec = obj.algebra
-    raw_val, raw_grad = obj.value_c, obj.subgrad_c
-    if raw_grad is None:
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
-        def raw_grad(c: np.ndarray) -> np.ndarray:
-            step = FD_STEP * (1.0 + float(np.linalg.norm(c)))
-            g = np.zeros(spec.dim)
-            e = np.zeros(spec.dim)
-            for i in range(spec.dim):
-                e[i] = step
-                up = raw_val(c + e)
-                dn = raw_val(c - e)
-                e[i] = 0.0
-                if not (np.isfinite(up) and np.isfinite(dn)):
-                    raise AlgebraError("objective not finite near x; cannot differentiate")
-                g[i] = (up - dn) / (2.0 * step)
-            return g
 
-    whole_grad = obj.stacked and obj.subgrad_c is not None
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ row for every row of a (..., n) stack, one BLAS call per row as ``_dot``."""
+    return (A @ x[..., :, None])[..., 0]
 
-    def val(c: np.ndarray):
-        if c.ndim == 1 or obj.stacked:
-            return np.asarray(raw_val(c), dtype=float)
-        return np.array([raw_val(row) for row in c], dtype=float)
+
+def _coord_fns(obj: Objective):
+    """(value_fn, grad_fn) on an (m, dim) stack, in the objective's own sense.
+
+    Without a subgradient oracle the gradient is central differences:
+    the 2 * dim probes of every row go to ``value_c`` as one stack, and
+    a row whose probes are not all finite raises AlgebraError.
+    """
+    dim = obj.algebra.dim
+    value_c, subgrad_c = obj.value_c, obj.subgrad_c
+
+    def val(c: np.ndarray) -> np.ndarray:
+        return np.asarray(value_c(c), dtype=float)
 
     def grad(c: np.ndarray) -> np.ndarray:
-        if c.ndim == 1 or whole_grad:
-            return np.asarray(raw_grad(c), dtype=float)
-        return np.array([raw_grad(row) for row in c], dtype=float).reshape(c.shape)
+        if subgrad_c is not None:
+            return np.asarray(subgrad_c(c), dtype=float)
+        step = FD_STEP * (1.0 + np.sqrt(_dot(c, c)))[..., None, None]
+        E = step * np.eye(dim)
+        probes = np.stack([c[..., None, :] + E, c[..., None, :] - E], axis=-3)
+        v = val(probes.reshape(-1, dim)).reshape(probes.shape[:-1])
+        if not np.isfinite(v).all():
+            raise AlgebraError("objective not finite near x; cannot differentiate")
+        return (v[..., 0, :] - v[..., 1, :]) / (2.0 * step[..., 0])
 
     return val, grad
 
@@ -708,12 +705,12 @@ def _armijo(fns: _StackFns, sgn, own, D, c, fc, t, slope, newton):
 def _finish(obj: Objective, row: _Solve) -> OptResult:
     """The OptResult of one finished start, with its commutation diagnostics.
 
-    The subgradient at the solution is a one-row call; Element rejects
+    The subgradient at the solution is a one-row stack; Element rejects
     one that is not finite.
     """
     xbar = Element(obj.algebra, row.c)
     _, grad = _coord_fns(obj)
-    g_el = Element(obj.algebra, grad(row.c))
+    g_el = Element(obj.algebra, grad(row.c[None])[0])
     return OptResult(xbar, row.value, row.iterations, row.stationarity, _diagnostics(obj, xbar, g_el), row.status)
 
 
@@ -895,20 +892,20 @@ def spectralbox_descent(
         if not ok:
             raise AlgebraError(f"x0 outside the box (residual {r:.2e})")
     sgn = _sign(obj.sense)
-    raw_val, raw_grad = _coord_fns(obj)
+    val, grad = _coord_fns(obj)
 
     def project(c: np.ndarray) -> np.ndarray:
         u, frame_rows = _decompose_rows(spec, c)
         return project_sorted_box(u, lo, hi) @ frame_rows
 
     c = x0.coords.copy()
-    fc = sgn * raw_val(c)
+    fc = sgn * val(c[None])[0]
     s = 1.0
     status = "max_iters"
     stat = np.inf
     it = 0
     for it in range(1, params.max_iters + 1):
-        g = sgn * raw_grad(c)
+        g = sgn * grad(c[None])[0]
         stat = float(np.linalg.norm(c - project(c - g)))
         if stat <= params.tol:
             status = "converged"
@@ -916,7 +913,7 @@ def spectralbox_descent(
         s = min(1.0, 2.0 * s)
         for _ in range(MAX_HALVINGS):
             ct = project(c - s * g)
-            ft = sgn * raw_val(ct)
+            ft = sgn * val(ct[None])[0]
             if ft <= fc - ARMIJO_C1 * float(g @ (c - ct)):
                 break
             s *= BACKTRACK
@@ -1079,10 +1076,8 @@ def multistart(
     return res
 
 
-def _minmax_outcomes(problems: list, params: SolverParams, starts: int) -> list:
-    """Per (obj, fset, seed), the (min, max) pair or the AlgebraError for it."""
-    both = [((replace(obj, sense="min"), replace(obj, sense="max")), fset, seed) for obj, fset, seed in problems]
-    return [res if isinstance(res, AlgebraError) else tuple(res) for res in _solve_batch(both, params, starts)]
+def _both_senses(obj: Objective) -> tuple[Objective, Objective]:
+    return replace(obj, sense="min"), replace(obj, sense="max")
 
 
 def multistart_minmax_batch(
@@ -1101,7 +1096,8 @@ def multistart_minmax_batch(
     bit; when that call would raise for some problem, the batch raises
     the error of the first such problem.
     """
-    return _raise_first(_minmax_outcomes(problems, params, starts))
+    both = [(_both_senses(obj), fset, seed) for obj, fset, seed in problems]
+    return [tuple(pair) for pair in _raise_first(_solve_batch(both, params, starts))]
 
 
 def multistart_minmax(

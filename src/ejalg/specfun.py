@@ -37,8 +37,9 @@ MAJORIZE_TOL = 1e-10
 class SymmetricFunction:
     """Permutation-invariant f: R^k -> R with convexity metadata.
 
-    value and subgrad also map a (..., k) stack row by row, returning
-    (...) values and (..., k) subgradients.
+    value and subgrad map a (..., k) stack row by row, returning (...)
+    values and (..., k) subgradients; a 1-D call is a one-row stack and
+    gives its row the same bits.
     """
 
     name: str
@@ -62,7 +63,9 @@ def schatten(p: float) -> SymmetricFunction:
             return np.sqrt(np.add.reduce(u * u, axis=-1))
         if p == 1.0:
             return np.add.reduce(np.abs(u), axis=-1)
-        return np.add.reduce(np.abs(u) ** p, axis=-1) ** (1.0 / p)
+        # an array, not a scalar, takes the root: numpy's scalar power
+        # rounds apart from its array loop
+        return (np.add.reduce(np.abs(u) ** p, axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
 
     def subgrad(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -102,34 +105,11 @@ def sumsq() -> SymmetricFunction:
     )
 
 
-def kappa_function() -> SymmetricFunction:
-    """Spectral condition number largest/smallest; needs a positive spectrum."""
-
-    def value(u: np.ndarray):
-        u = np.asarray(u, dtype=float)
-        lo = np.min(u, axis=-1)
-        if np.any(lo <= 0.0):
-            raise ValueError("condition number needs a strictly positive spectrum")
-        return np.max(u, axis=-1) / lo
-
-    return SymmetricFunction(
-        name="kappa",
-        value=value,
-        subgrad=None,
-        is_convex=False,
-        is_strictly_convex=False,
-        is_norm=False,
-        is_strictly_convex_norm=False,
-    )
-
-
 def builtin_function(name: str) -> SymmetricFunction:
-    """Resolve CLI-addressable function names (schatten:p, sumsq, kappa)."""
+    """Resolve CLI-addressable function names (schatten:p, sumsq)."""
     s = name.strip()
     if s == "sumsq":
         return sumsq()
-    if s == "kappa":
-        return kappa_function()
     if s.startswith("schatten:"):
         try:
             return schatten(float(s.split(":", 1)[1]))

@@ -44,7 +44,10 @@ from .liegroup import (
 from .optimize import (
     Objective,
     SolverParams,
-    _minmax_outcomes,
+    _both_senses,
+    _dot,
+    _matvec,
+    _solve_batch,
     kappa_shift,
     multistart,
     orbit,
@@ -82,6 +85,8 @@ VALUE_TOL = 1e-6
 # the kappa demo's monotonicity certificate comes from the zero start; at
 # this tol the box solver's value is within rounding of the closed forms
 KAPPA_PARAMS = SolverParams(max_iters=150, tol=1e-8)
+# the min suite's coarse nonsmooth solve, which the softmax ladder polishes
+MIN_COARSE = SolverParams(max_iters=150, tol=1e-6)
 
 
 @dataclass(frozen=True)
@@ -174,24 +179,47 @@ def _ms_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(2**63))
 
 
+def _solved_records(cfg: SuiteConfig, draw, certify, params: SolverParams = SolverParams(), starts: int = 4) -> list[dict]:
+    """Draw every trial in order, solve them all in one batch, certify in trial order.
+
+    ``draw(i)`` returns (record, problem, context), where problem is an
+    (objectives, fset, seed) tuple of ``_solve_batch`` or None for a
+    trial with nothing to solve; ``certify(record, context, results)``
+    fills the record from the problem's results, one per objective.  A
+    problem the solver failed raises its AlgebraError when its trial
+    comes up, where the trial-by-trial loop would have raised it.
+    """
+    drawn = [draw(i) for i in range(cfg.trials)]
+    solved = iter(_solve_batch([p for _, p, _ in drawn if p is not None], params, starts))
+    for rec, problem, context in drawn:
+        if problem is not None:
+            results = next(solved)
+            if isinstance(results, AlgebraError):
+                raise results
+            certify(rec, context, results)
+    return [rec for rec, _, _ in drawn]
+
+
 # ---------------------------------------------------------------------------
 # smooth principle: optimizers of a smooth objective plus a spectral term
 # over an orbit commute with the smooth gradient
+
+
+def _unit_rows(d: np.ndarray) -> np.ndarray:
+    """Each row over its norm; rows of norm <= 1e-12 become zero."""
+    nd = np.sqrt(_dot(d, d))[..., None]
+    return np.divide(d, nd, out=np.zeros_like(d), where=nd > 1e-12)
 
 
 def _quadratic_plus_norm(spec: AlgebraSpec, M: np.ndarray, c0: np.ndarray, sense: str = "min") -> Objective:
     # Schatten-2 equals the coordinate norm in the trace inner product,
     # so the spectral term is constant along the orbit; it still rides
     # along in the objective the solver sees
-    def value_c(c: np.ndarray) -> float:
-        return float(0.5 * c @ (M @ c) + c0 @ c + np.linalg.norm(c))
+    def value_c(c: np.ndarray):
+        return _dot(0.5 * c, _matvec(M, c)) + _dot(c0, c) + np.sqrt(_dot(c, c))
 
     def subgrad_c(c: np.ndarray) -> np.ndarray:
-        g = M @ c + c0
-        nc = float(np.linalg.norm(c))
-        if nc > 1e-12:
-            g = g + c / nc
-        return g
+        return _matvec(M, c) + c0 + _unit_rows(c)
 
     return Objective(
         label="quadratic + schatten:2",
@@ -204,7 +232,6 @@ def _quadratic_plus_norm(spec: AlgebraSpec, M: np.ndarray, c0: np.ndarray, sense
 
 
 def verify_smooth_principle(cfg: SuiteConfig) -> SuiteReport:
-    """Draw every trial, solve all of them in one batch, then certify each."""
     spec = cfg.algebra
     tol = cfg.tolerances
 
@@ -217,13 +244,10 @@ def verify_smooth_principle(cfg: SuiteConfig) -> SuiteReport:
         b = random_element(spec, rng)
         seed = _ms_seed(rng)
         rec = {"trial": i, "inputs": _hash_inputs(M, c0, b.coords), "status": "ok"}
-        return rec, M, c0, (_quadratic_plus_norm(spec, M, c0), orbit(b), seed)
+        return rec, (_both_senses(_quadratic_plus_norm(spec, M, c0)), orbit(b), seed), (M, c0)
 
-    drawn = [draw(i) for i in range(cfg.trials)]
-    solved = _minmax_outcomes([problem for *_, problem in drawn], SolverParams(), starts=4)
-    for (rec, M, c0, _), results in zip(drawn, solved):
-        if isinstance(results, AlgebraError):
-            raise results
+    def certify(rec: dict, inputs, results) -> None:
+        M, c0 = inputs
         worst_comm = 0.0
         worst_stat = 0.0
         for res in results:
@@ -237,7 +261,8 @@ def verify_smooth_principle(cfg: SuiteConfig) -> SuiteReport:
         rec["stationarity"] = worst_stat
         if rec["status"] != "skip" and worst_comm > tol.commute:
             rec["status"] = "violation"
-    return _report("smooth", spec, [rec for rec, *_ in drawn], ("commute", "stationarity"))
+
+    return _report("smooth", spec, _solved_records(cfg, draw, certify), ("commute", "stationarity"))
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +274,14 @@ def _max_objective(spec, kind, c_el, f_extra, sense="max") -> Objective:
     cc = c_el.coords
     F = SpectralFunction(f_extra, spec) if f_extra is not None else None
 
-    def value_c(x: np.ndarray) -> float:
-        out = float(cc @ x) if kind == "linear" else float(np.linalg.norm(x - cc))
+    def value_c(x: np.ndarray):
+        out = _dot(cc, x) if kind == "linear" else np.sqrt(_dot(x - cc, x - cc))
         if F is not None:
-            out += spectral_value_coords(F, x)
+            out = out + spectral_value_coords(F, x)
         return out
 
     def subgrad_c(x: np.ndarray) -> np.ndarray:
-        if kind == "linear":
-            g = cc.copy()
-        else:
-            d = x - cc
-            nd = float(np.linalg.norm(d))
-            g = d / nd if nd > 1e-12 else np.zeros_like(d)
+        g = np.broadcast_to(cc, x.shape).copy() if kind == "linear" else _unit_rows(x - cc)
         if F is not None:
             g = g + spectral_subgrad_coords(F, x)
         return g
@@ -306,7 +326,7 @@ def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
     tol = cfg.tolerances
     extras = (None, schatten(1.5), schatten(3))
 
-    def trial(i: int) -> dict:
+    def draw(i: int):
         rng = _trial_rng(cfg, "max", i)
         kind = "linear" if i % 2 == 0 else "shifted"
         c_el = random_element(spec, rng)
@@ -314,11 +334,15 @@ def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
         b = random_element(spec, rng)
         seed = _ms_seed(rng)
         rec = {"trial": i, "inputs": _hash_inputs(c_el.coords, b.coords), "objective": kind, "status": "ok"}
-        res = multistart(_max_objective(spec, kind, c_el, f_extra), orbit(b), starts=4, seed=seed)
+        return rec, ((_max_objective(spec, kind, c_el, f_extra),), orbit(b), seed), (kind, c_el)
+
+    def certify(rec: dict, inputs, results) -> None:
+        kind, c_el = inputs
+        (res,) = results
         rec["stationarity"] = res.stationarity
         if res.stationarity > STATIONARITY_GATE:
             rec["status"] = "skip"
-            return rec
+            return
         samples = _sampled_theta_subgradients(spec, kind, c_el, res.x)
         worst = 0.0
         for v in samples:
@@ -327,9 +351,8 @@ def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
         rec["samples"] = len(samples)
         if worst > tol.commute:
             rec["status"] = "violation"
-        return rec
 
-    return _report("max", spec, [trial(i) for i in range(cfg.trials)], ("commute", "stationarity"))
+    return _report("max", spec, _solved_records(cfg, draw, certify), ("commute", "stationarity"))
 
 
 # ---------------------------------------------------------------------------
@@ -342,27 +365,28 @@ def _maxaffine_objective(spec, C, d, f_extra, smooth_mu=None, sense="min") -> Ob
     F = SpectralFunction(f_extra, spec) if f_extra is not None else None
 
     def pieces(x: np.ndarray) -> np.ndarray:
-        return C @ x + d
+        return _matvec(C, x) + d
 
-    def value_c(x: np.ndarray) -> float:
+    # the reductions keep their last axis, so log sees an array, never a
+    # numpy scalar, for a 1-D call too
+    def value_c(x: np.ndarray):
         z = pieces(x)
-        if smooth_mu is None:
-            out = float(np.max(z))
-        else:
-            s = float(np.max(z))
-            out = s + smooth_mu * math.log(float(np.sum(np.exp((z - s) / smooth_mu))))
+        s = np.max(z, axis=-1, keepdims=True)
+        if smooth_mu is not None:
+            s = s + smooth_mu * np.log(np.add.reduce(np.exp((z - s) / smooth_mu), axis=-1, keepdims=True))
+        out = s[..., 0]
         if F is not None:
-            out += spectral_value_coords(F, x)
+            out = out + spectral_value_coords(F, x)
         return out
 
     def subgrad_c(x: np.ndarray) -> np.ndarray:
         z = pieces(x)
         if smooth_mu is None:
-            g = C[int(np.argmax(z))].copy()
+            g = C[np.argmax(z, axis=-1)]
         else:
-            p = np.exp((z - float(np.max(z))) / smooth_mu)
-            p /= float(np.sum(p))
-            g = C.T @ p
+            p = np.exp((z - np.max(z, axis=-1, keepdims=True)) / smooth_mu)
+            p = p / np.add.reduce(p, axis=-1, keepdims=True)
+            g = _matvec(C.T, p)
         if F is not None:
             g = g + spectral_subgrad_coords(F, x)
         return g
@@ -500,17 +524,15 @@ def _crease_newton(spec, C, d, f_extra, x0: np.ndarray, active: list[int], w0: n
     return best
 
 
-def _minimize_maxaffine(spec, C, d, f_extra, fset, seed):
-    """Coarse nonsmooth multistart, softmax ladder, then crease Newton.
+def _minimize_maxaffine(spec, C, d, f_extra, fset, x: np.ndarray):
+    """Softmax ladder, then crease Newton, from the coarse solve's point x.
 
-    Subgradient descent stalls at the crease at ~square-root accuracy
-    and the smoothed solves land only within O(mu) of the kink, so the
-    active set identified at the last temperature seeds an exact
-    active-set Newton polish.
+    The coarse solve is a nonsmooth multistart (``MIN_COARSE``, 4
+    starts).  Subgradient descent stalls at the crease at ~square-root
+    accuracy and the smoothed solves land only within O(mu) of the
+    kink, so the active set identified at the last temperature seeds an
+    exact active-set Newton polish.
     """
-    coarse = SolverParams(max_iters=150, tol=1e-6)
-    res = multistart(_maxaffine_objective(spec, C, d, f_extra), fset, coarse, starts=4, seed=seed)
-    x = res.x.coords
     mu_last = 1e-3
     for mu in (1e-2, mu_last):
         polish = _maxaffine_objective(spec, C, d, f_extra, smooth_mu=mu)
@@ -534,8 +556,9 @@ def _minimize_maxaffine(spec, C, d, f_extra, fset, seed):
     return Element(spec, x), stat
 
 
-def _certify_min_trial(spec, C, d, f_extra, b, seed) -> tuple[dict, Element]:
-    x, stat = _minimize_maxaffine(spec, C, d, f_extra, orbit(b), seed)
+def _certify_min_trial(spec, C, d, f_extra, b, x0: np.ndarray) -> tuple[dict, Element]:
+    """The min record's fields from the coarse solve's point x0."""
+    x, stat = _minimize_maxaffine(spec, C, d, f_extra, orbit(b), x0)
     z = C @ x.coords + d
     theta = float(np.max(z))
     active = np.nonzero(z >= theta - ACTIVE_GAP * (1.0 + abs(theta)))[0]
@@ -556,7 +579,7 @@ def verify_min_principle(cfg: SuiteConfig) -> SuiteReport:
     tol = cfg.tolerances
     extras = (schatten(2), sumsq())
 
-    def trial(i: int) -> dict:
+    def draw(i: int):
         rng = _trial_rng(cfg, "min", i)
         m = 2 + i % 2
         C = np.stack([random_element(spec, rng).coords for _ in range(m)])
@@ -565,13 +588,15 @@ def verify_min_principle(cfg: SuiteConfig) -> SuiteReport:
         b = random_element(spec, rng)
         seed = _ms_seed(rng)
         rec = {"trial": i, "inputs": _hash_inputs(C, d, b.coords), "generators": m, "status": "ok"}
-        fields, _ = _certify_min_trial(spec, C, d, f_extra, b, seed)
+        return rec, ((_maxaffine_objective(spec, C, d, f_extra),), orbit(b), seed), (C, d, f_extra, b)
+
+    def certify(rec: dict, inputs, results) -> None:
+        fields, _ = _certify_min_trial(spec, *inputs, results[0].x.coords)
         rec.update(fields)
         if rec["commute"] > tol.commute:
             rec["status"] = "violation"
-        return rec
 
-    records = [trial(i) for i in range(cfg.trials)] + [midpoint_witness_record(tol)]
+    records = _solved_records(cfg, draw, certify, MIN_COARSE) + [midpoint_witness_record(tol)]
     return _report("min", spec, records, ("commute", "stationarity"))
 
 
@@ -591,7 +616,8 @@ def midpoint_witness_record(tol: Tolerances = Tolerances()) -> dict:
     C = np.stack([cb + p, cb - p])
     d = np.zeros(2)
     rec = {"trial": "witness", "inputs": _hash_inputs(C, b.coords), "generators": 2, "status": "ok"}
-    fields, xbar = _certify_min_trial(spec, C, d, None, b, seed=0)
+    coarse = multistart(_maxaffine_objective(spec, C, d, None), orbit(b), MIN_COARSE, starts=4, seed=0)
+    fields, xbar = _certify_min_trial(spec, C, d, None, b, coarse.x.coords)
     rec.update(fields)
     rec["endpoint_resid"] = min(
         commutator_residual(xbar, Element(spec, C[0])),
@@ -619,7 +645,6 @@ def verify_shifted_principle(cfg: SuiteConfig, functions: tuple[SymmetricFunctio
     connected = orbit_is_connected(spec)
 
     def draw(i: int):
-        """The trial's record and its (a, b, F, seed), or None for a skip."""
         rng = _trial_rng(cfg, "shifted", i)
         a = random_element(spec, rng)
         b = random_element(spec, rng)
@@ -627,27 +652,17 @@ def verify_shifted_principle(cfg: SuiteConfig, functions: tuple[SymmetricFunctio
         rec = {"trial": i, "inputs": _hash_inputs(a.coords, b.coords), "function": f.name, "status": "ok"}
         if not connected:
             rec.update(status="skip", reason="orbit not connected")
-            return rec, None
+            return rec, None, None
         for fac in split_factors(a) if spec.kind == "prod" else [a]:
             lam = eigenvalue_map(fac)
             if lam.size > 1 and float(np.min(-np.diff(lam))) <= 2.0 * TIE_TOL * (1.0 + abs(lam[0])):
                 rec["status"] = "skip"
-                return rec, None
-        return rec, (a, b, SpectralFunction(f, spec), _ms_seed(rng))
+                return rec, None, None
+        F = SpectralFunction(f, spec)
+        return rec, (_both_senses(shifted_spectral(F, a)), orbit(b), _ms_seed(rng)), (a, b, F)
 
-    # draw every trial, solve all of them in one batch, then run the
-    # oracles in trial order, failing where the trial-by-trial loop would
-    drawn = [draw(i) for i in range(cfg.trials)]
-    inputs = [x for _, x in drawn if x is not None]
-    problems = [(shifted_spectral(F, a), orbit(b), seed) for a, b, F, seed in inputs]
-    solved = iter(_minmax_outcomes(problems, SolverParams(), starts=4))
-    for rec, x in drawn:
-        if x is None:
-            continue
-        a, b, F, _ = x
-        results = next(solved)
-        if isinstance(results, AlgebraError):
-            raise results
+    def certify(rec: dict, inputs, results) -> None:
+        a, b, F = inputs
         worst_value = 0.0
         worst_comm = 0.0
         for sense, res in zip(("min", "max"), results):
@@ -659,7 +674,8 @@ def verify_shifted_principle(cfg: SuiteConfig, functions: tuple[SymmetricFunctio
         rec["commute"] = worst_comm
         if worst_value > VALUE_TOL or worst_comm > tol.commute:
             rec["status"] = "violation"
-    return _report("shifted", spec, [rec for rec, _ in drawn], ("commute", "value"))
+
+    return _report("shifted", spec, _solved_records(cfg, draw, certify), ("commute", "value"))
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +891,7 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5) -> SuiteReport:
     spec = cfg.algebra
     fset = spectral_box(spec, -eps, eps)
 
-    def record(trial, a: Element, kappa_a: float, seed: int) -> dict:
-        res = multistart(kappa_shift(a, "min"), fset, KAPPA_PARAMS, starts=2, seed=seed)
+    def record(trial, a: Element, kappa_a: float, res) -> dict:
         kappa_x = float(res.value)
         oracle = kappa_clipping_oracle(eigenvalue_map(a), eps)
         return {
@@ -891,19 +906,21 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5) -> SuiteReport:
             "increase": max(kappa_x - kappa_a, 0.0),
         }
 
-    def trial(i: int) -> dict:
+    def draw(i: int):
         rng = _trial_rng(cfg, "kappa", i)
         x0 = random_element(spec, rng)
         lam0 = eigenvalue_map(x0)
         lift = eps + float(rng.uniform(0.3, 1.0)) * (1.0 + float(lam0[0] - lam0[-1])) - float(lam0[-1])
         a = x0 + unit(spec) * lift
         kappa_a = float(eigenvalue_map(a)[0] / eigenvalue_map(a)[-1])
-        rec = record(i, a, kappa_a, _ms_seed(rng))
+        return {}, ((kappa_shift(a, "min"),), fset, _ms_seed(rng)), (i, a, kappa_a)
+
+    def certify(rec: dict, inputs, results) -> None:
+        rec.update(record(*inputs, results[0]))
         if rec["increase"] > 1e-12:
             rec["status"] = "violation"
-        return rec
 
-    records = [trial(i) for i in range(cfg.trials)]
+    records = _solved_records(cfg, draw, certify, KAPPA_PARAMS, starts=2)
     notes = []
     # reference instance: spectrum (4, 2, 1) on a random frame has a
     # closed-form optimum (4 - eps) / (1 + eps); the frame is drawn from
@@ -913,7 +930,7 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5) -> SuiteReport:
         X = random_automorphism(spec, rng)
         frame_rows = np.stack([X.apply(e).coords for e in canonical_frame(spec)])
         a = Element(spec, np.array([4.0, 2.0, 1.0]) @ frame_rows)
-        rec = record("reference", a, 4.0, _ms_seed(rng))
+        rec = record("reference", a, 4.0, multistart(kappa_shift(a, "min"), fset, KAPPA_PARAMS, starts=2, seed=_ms_seed(rng)))
         rec["oracle_gap"] = abs(rec["kappa_after"] - rec["oracle"])
         if rec["oracle_gap"] > 1e-4 or rec["increase"] > 1e-12:
             rec["status"] = "violation"

@@ -18,7 +18,6 @@ from ejalg import (
     eigenvalue_map,
     inner,
     is_subgradient,
-    kappa_function,
     majorizes,
     monotone_pairing_check,
     norm,
@@ -54,16 +53,12 @@ def test_function_flags():
 def test_builtin_function_names():
     assert builtin_function("schatten:2").name == "schatten:2"
     assert builtin_function("sumsq").name == "sumsq"
-    assert builtin_function("kappa").name == "kappa"
     with pytest.raises(ValueError):
         builtin_function("frobenius")
     with pytest.raises(ValueError):
-        builtin_function("schatten:x")
-
-
-def test_kappa_needs_positive_spectrum():
+        builtin_function("kappa")
     with pytest.raises(ValueError):
-        kappa_function().value(np.array([1.0, 0.0]))
+        builtin_function("schatten:x")
 
 
 def test_spectral_value_is_orbit_invariant():
@@ -183,10 +178,13 @@ def test_schur_strictness_fails_for_p1():
 
 def test_subgradient_needs_convexity_oracle():
     spec = parse_algebra("sym:3")
-    F = SpectralFunction(kappa_function(), spec)
     x = unit(spec) * 2.0
-    with pytest.raises(ValueError):
-        spectral_subgradient(F, x)
+    nonconvex = dataclasses.replace(sumsq(), name="nonconvex", is_convex=False, is_strictly_convex=False)
+    with pytest.raises(ValueError, match="not convex"):
+        spectral_subgradient(SpectralFunction(nonconvex, spec), x)
+    no_oracle = dataclasses.replace(sumsq(), name="no-oracle", subgrad=None)
+    with pytest.raises(ValueError, match="no subgradient oracle"):
+        spectral_subgradient(SpectralFunction(no_oracle, spec), x)
 
 
 def test_spectral_subgradient_rejects_non_finite():

@@ -29,9 +29,9 @@ from ejalg import (
 )
 from ejalg.algebra import _decompose_rows, _eigvals, canonical_frame, multiplicity_blocks
 from ejalg.liegroup import SkewCurves, basis_curve_points, exp_action, tangent_stack
-from ejalg.optimize import _orbit_lockstep, _random_start, membership
+from ejalg.optimize import _coord_fns, _orbit_lockstep, _random_start, membership
 from ejalg.specfun import spectral_subgrad_coords, spectral_value_coords
-from ejalg.verify import _maxaffine_objective, _quadratic_plus_norm
+from ejalg.verify import _max_objective, _maxaffine_objective, _quadratic_plus_norm
 
 ALGEBRAS = ["rn:4", "sym:3", "sym:4", "spin:4", "prod(sym:3,spin:4)", "prod(rn:2,sym:2)"]
 FUNCTIONS = [sumsq(), schatten(1.5), schatten(2), schatten(3)]
@@ -186,6 +186,48 @@ def test_rows_past_the_temporary_elision_size_match_one_row_calls():
         assert _bits(tangent_stack(basis, X[one])[0]) == _bits(stacked["tangent"][i])
 
 
+def _row_exact_cases(spec, rng):
+    """(value_c, solvers' gradient) of every built-in objective, and (value, subgrad) of the p-norms."""
+    a, c = random_element(spec, rng), random_element(spec, rng)
+    A = rng.standard_normal((spec.dim, spec.dim))
+    objs = {
+        "shifted_spectral": shifted_spectral(SpectralFunction(schatten(3), spec), a),
+        # no subgradient: central differences
+        "kappa_shift": kappa_shift(unit(spec) * 10.0 + a),
+        "quadratic_plus_norm": _quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), c.coords),
+    }
+    for f in (None, schatten(1.5), schatten(3)):
+        name = f.name if f else "none"
+        objs[f"linear_plus_spectral:{name}"] = linear_plus_spectral(c, f and SpectralFunction(f, spec))
+        for kind in ("linear", "shifted"):
+            objs[f"max_objective:{kind}:{name}"] = _max_objective(spec, kind, c, f)
+    C, d = rng.standard_normal((3, spec.dim)), rng.standard_normal(3)
+    objs["maxaffine_objective"] = _maxaffine_objective(spec, C, d, schatten(2))
+    objs["maxaffine_objective:mu=0.01"] = _maxaffine_objective(spec, C, d, sumsq(), smooth_mu=1e-2)
+    cases = {name: (obj.value_c, _coord_fns(obj)[1]) for name, obj in objs.items()}
+    # a symmetric function takes rows of any length
+    cases.update({f.name: (f.value, f.subgrad) for f in (schatten(1.5), schatten(3))})
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_row_exact_cases(parse_algebra("sym:2"), np.random.default_rng(0))))
+def test_objective_rows_past_the_temporary_elision_size_match_one_row_calls(name):
+    # a row of a stack, its one-row stack and its 1-D call agree bit for
+    # bit, so a problem's rows do not depend on the stack they ride in
+    spec = parse_algebra("sym:8")
+    rng = np.random.default_rng(29)
+    value, grad = _row_exact_cases(spec, rng)[name]
+    X = 0.5 * rng.standard_normal((1900, spec.dim))
+    assert X.nbytes > 512 * 1024
+    vals, grads = value(X), grad(X)
+    assert vals.shape == X.shape[:1] and grads.shape == X.shape
+    assert np.isfinite(vals).all() and np.isfinite(grads).all()
+    for i in range(len(X)):
+        for one in (X[i : i + 1], X[i]):
+            assert _bits(value(one)) == _bits(vals[i])
+            assert _bits(grad(one)) == _bits(grads[i])
+
+
 def test_skew_curves_keep_slow_rotations_beside_fast_ones():
     # frequencies 1 and 1e4 on the spin vector part, the shape of a
     # long saddle-free Newton step; squaring D would cost the slow pair
@@ -270,7 +312,7 @@ def test_status_stalled():
     true = shifted_spectral(F, a)
     obj = Objective(
         label="stall", algebra=spec, sense="min", value=true.value,
-        value_c=true.value_c, subgrad_c=lambda c: -1e-16 * true.subgrad_c(c), stacked=True,
+        value_c=true.value_c, subgrad_c=lambda c: -1e-16 * true.subgrad_c(c),
     )
     res = orbit_descent(obj, orbit(b), params=SolverParams(tol=0.0))
     assert res.status == "stalled"
@@ -289,7 +331,7 @@ def test_status_line_search_failed():
 
     obj = Objective(
         label="wall", algebra=spec, sense="min", value=lambda x: float(value_c(x.coords)), smooth=False,
-        value_c=value_c, subgrad_c=lambda c: 1e20 * shifted_spectral(F, a).subgrad_c(c), stacked=True,
+        value_c=value_c, subgrad_c=lambda c: 1e20 * shifted_spectral(F, a).subgrad_c(c),
     )
     res = orbit_descent(obj, orbit(b))
     assert res.status == "line_search_failed"
@@ -307,7 +349,7 @@ def _poisoned(F, a, bad):
 
     return Objective(
         label="poisoned", algebra=F.algebra, sense="min", value=good.value,
-        value_c=good.value_c, subgrad_c=subgrad_c, stacked=True,
+        value_c=good.value_c, subgrad_c=subgrad_c,
     )
 
 
@@ -340,7 +382,7 @@ def test_non_finite_subgradient_at_the_solution_fails():
     b = random_element(spec, np.random.default_rng(0))
     obj = Objective(
         label="nan", algebra=spec, sense="max", value=lambda x: 0.0,
-        value_c=lambda c: float(c @ c), subgrad_c=lambda c: np.full(c.shape, np.nan),
+        value_c=lambda c: np.add.reduce(c * c, axis=-1), subgrad_c=lambda c: np.full(c.shape, np.nan),
     )
     with pytest.raises(AlgebraError, match="finite"):
         orbit_descent(obj, orbit(b))
@@ -355,7 +397,7 @@ def test_raising_row_objective_fails_only_its_start():
     good = shifted_spectral(F, a)
 
     def value_c(c):
-        if np.array_equal(c, x2.coords):
+        if np.all(c == x2.coords, axis=-1).any():
             raise AlgebraError("refused")
         return good.value_c(c)
 
@@ -377,7 +419,8 @@ def test_raising_row_in_the_rounding_floor_fails_its_start():
     true = shifted_spectral(F, a)
 
     def value_c(c):
-        if 0.0 < np.linalg.norm(c - x2.coords) < 1e-3:
+        near = np.linalg.norm(c - x2.coords, axis=-1)
+        if ((0.0 < near) & (near < 1e-3)).any():
             raise AlgebraError("refused")
         return true.value_c(c)
 
@@ -518,15 +561,16 @@ def test_lockstep_row_does_not_depend_on_its_neighbours(name):
 
 
 def _poison_one_row_calls_at(obj, point):
-    """obj whose one-row subgradient call is NaN at exactly ``point``.
+    """obj whose subgradient of a one-row stack is NaN at exactly ``point``.
 
-    Stacked calls (the lockstep's) stay healthy, so only the subgradient
-    that finishes a start at ``point`` is poisoned.
+    The subgradient that finishes a start at ``point`` is poisoned; so is
+    the lockstep's own call there when that start is the last row of its
+    stack, which fails the start one step earlier.
     """
 
     def subgrad_c(c):
         g = obj.subgrad_c(c)
-        if c.ndim == 1 and np.array_equal(c, point):
+        if len(c) == 1 and np.array_equal(c[0], point):
             return np.full(c.shape, np.nan)
         return g
 
@@ -727,7 +771,7 @@ def _refusing(spec, a, text):
     def value_c(c):
         raise AlgebraError(text)
 
-    return Objective(label=text, algebra=spec, sense="min", value_c=value_c, subgrad_c=good.subgrad_c, stacked=True)
+    return Objective(label=text, algebra=spec, sense="min", value_c=value_c, subgrad_c=good.subgrad_c)
 
 
 def test_batch_raises_the_first_problem_that_every_start_fails():
@@ -746,17 +790,29 @@ def test_batch_raises_the_first_problem_that_every_start_fails():
         assert str(got.value) == str(want.value)
 
 
-def test_shifted_suite_fails_at_the_first_failing_trial(monkeypatch):
+# suite -> its objective builder, and the argument that tells the trials apart
+SUITE_BUILDERS = {
+    "shifted": ("shifted_spectral", lambda F, a, *_, **__: a.coords),
+    "max": ("_max_objective", lambda spec, kind, c_el, *_, **__: c_el.coords),
+    "min": ("_maxaffine_objective", lambda spec, C, *_, **__: C),
+    "kappa": ("kappa_shift", lambda a, *_, **__: a.coords),
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_BUILDERS))
+def test_batched_suite_fails_at_the_first_failing_trial(monkeypatch, suite):
     import ejalg.verify as ver
 
-    cfg = ver.SuiteConfig(algebra=parse_algebra("sym:3"), trials=4, seed=5)
-    real = ver.shifted_spectral
-    made = []
+    spec = parse_algebra("sym:3")
+    cfg = ver.SuiteConfig(algebra=spec, trials=4, seed=5)
+    builder, key = SUITE_BUILDERS[suite]
+    real = getattr(ver, builder)
+    trials: dict = {}
 
-    def failing_from_trial_1(F, a, sense="min"):
-        made.append(a)
-        return real(F, a, sense) if len(made) == 1 else _refusing(F.algebra, a, f"trial {len(made) - 1}")
+    def failing_from_trial_1(*args, **kwargs):
+        i = trials.setdefault(_bits(key(*args, **kwargs)), len(trials))
+        return real(*args, **kwargs) if i == 0 else _refusing(spec, unit(spec), f"trial {i}")
 
-    monkeypatch.setattr(ver, "shifted_spectral", failing_from_trial_1)
+    monkeypatch.setattr(ver, builder, failing_from_trial_1)
     with pytest.raises(AlgebraError, match="trial 1"):
-        ver.verify_shifted_principle(cfg)
+        ver.run_suite(suite, cfg)

@@ -251,20 +251,20 @@ def test_kappa_clipping_oracle_values():
 
 @pytest.mark.parametrize("stage", ["polish start", "returned point"])
 def test_minimize_maxaffine_rejects_non_finite(monkeypatch, stage):
-    import types
-
     import ejalg.verify as ver
 
     spec = parse_algebra("sym:2")
     rng = np.random.default_rng(14)
     C = np.stack([random_element(spec, rng).coords for _ in range(2)])
     nan = np.full(spec.dim, np.nan)
-    if stage == "polish start":
-        monkeypatch.setattr(ver, "multistart", lambda *args, **kw: types.SimpleNamespace(x=types.SimpleNamespace(coords=nan)))
-    else:
+    fset = ver.orbit(random_element(spec, rng))
+    # the polish starts where the coarse solve of the batch ended
+    start = nan
+    if stage == "returned point":
+        start = fset.anchor.coords
         monkeypatch.setattr(ver, "_crease_newton", lambda *args: (0.0, nan, np.ones(1)))
     with pytest.raises(AlgebraError, match="coords must be finite"):
-        ver._minimize_maxaffine(spec, C, np.zeros(2), None, ver.orbit(random_element(spec, rng)), 0)
+        ver._minimize_maxaffine(spec, C, np.zeros(2), None, fset, start)
 
 
 def test_commutation_checks_have_power():
