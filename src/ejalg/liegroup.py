@@ -63,26 +63,49 @@ def _structure_tensor(spec: AlgebraSpec) -> np.ndarray:
     return T
 
 
+def _derivation_dimension(spec: AlgebraSpec) -> int:
+    """dim Der(V): so(n) for sym:n, so(n - 1) for spin:n, none for rn."""
+    if spec.kind == "prod":
+        return sum(_derivation_dimension(f) for f in spec.factors)
+    if spec.kind == "sym":
+        return spec.n * (spec.n - 1) // 2
+    if spec.kind == "spin":
+        return (spec.n - 1) * (spec.n - 2) // 2
+    return 0
+
+
 @functools.lru_cache(maxsize=None)
 def derivation_basis(spec: AlgebraSpec) -> DerivationBasis:
-    """Span {[L_{c_i}, L_{c_j}]} and orthonormalize (modified Gram-Schmidt)."""
+    """Span {[L_{c_i}, L_{c_j}]} and orthonormalize (modified Gram-Schmidt).
+
+    The pairs i < j are taken in order and the loop stops once it holds
+    dim Der(V) elements: n(n - 1)/2 for sym:n, (n - 1)(n - 2)/2 for
+    spin:n, 0 for rn:n and the sum over the factors for a product.  The
+    commutators after that point lie in the span already kept, so the
+    basis is the one the full loop over every pair builds.  Fewer
+    elements at the end of the loop raise ``AlgebraError``.
+    """
     dim = spec.dim
+    want = _derivation_dimension(spec)
     S = lyapunov_basis_stack(spec)
     kept: list[np.ndarray] = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            C = S[i] @ S[j] - S[j] @ S[i]
-            w = C.ravel().copy()
-            w0 = np.linalg.norm(w)
-            if w0 <= RANK_TOL:
-                continue
-            for b in kept:  # two passes for stability
-                w -= (b @ w) * b
-            for b in kept:
-                w -= (b @ w) * b
-            r = np.linalg.norm(w)
-            if r > RANK_TOL * (1.0 + w0):
-                kept.append(w / r)
+    for i, j in zip(*np.triu_indices(dim, 1)):
+        if len(kept) == want:
+            break
+        C = S[i] @ S[j] - S[j] @ S[i]
+        w = C.ravel().copy()
+        w0 = np.linalg.norm(w)
+        if w0 <= RANK_TOL:
+            continue
+        for b in kept:  # two passes for stability
+            w -= (b @ w) * b
+        for b in kept:
+            w -= (b @ w) * b
+        r = np.linalg.norm(w)
+        if r > RANK_TOL * (1.0 + w0):
+            kept.append(w / r)
+    if len(kept) < want:
+        raise AlgebraError(f"found {len(kept)} of the {want} derivations of {spec}")
     if kept:
         stack = np.stack(kept).reshape(len(kept), dim, dim)
     else:

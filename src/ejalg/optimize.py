@@ -801,7 +801,12 @@ def permutation_oracle(
     Every permutation is evaluated, in ``itertools.product`` order over
     the factors' ``itertools.permutations`` (last factor fastest), in
     blocks of at most ``ORACLE_BLOCK`` rows, one stacked ``F.f.value``
-    call per block.  A stacked row can differ from the one-row call in
+    call per block.  Each factor's n x n difference table lb[k] - la[i]
+    is built once per call; a block, and a one-row re-check, is one
+    ``take`` from it through the flat indices k n + i of the factor's
+    int8 permutation table (built on first use per n, then kept), so
+    every entry is the subtraction lb[p[i]] - la[i] a one-permutation
+    loop makes.  A stacked row can differ from the one-row call in
     the last ulp, so every row within ``ORACLE_ULPS`` spacings of its
     block's best is evaluated again by the one-row call, in enumeration
     order, and replaces the incumbent only on strict improvement: the
@@ -829,31 +834,51 @@ def permutation_oracle(
     tables = [_permutation_table(lam.size) for lam in lams_b]
     sizes = tuple(len(t) for t in tables)
     count = int(np.prod(sizes))
+    ns = [lam.size for lam in lams_b]
+    # every factor's n x n table lb[k] - la[i], end to end: permutation p
+    # of a factor puts lb[p[i]] - la[i] at first + n p[i] + i, which is
+    # below 81 at rank <= 9, so the indices are int8 like the tables
+    table = np.concatenate([np.subtract.outer(lb, la).ravel() for lb, la in zip(lams_b, lams_a)])
+    firsts = np.cumsum([0] + [n * n for n in ns])
+    scale = np.repeat(ns, ns)
+    offset = np.concatenate([f + np.arange(n) for f, n in zip(firsts, ns)])
+    # tiled to a whole block: numpy broadcasts a short row slowly
+    block = min(ORACLE_BLOCK, count)
+    scale, offset = (np.tile(v.astype(np.int8), (block, 1)) for v in (scale, offset))
+    cols = np.cumsum([0] + ns)
+    perms = np.empty_like(scale)
+    rows = np.empty(scale.shape)
 
-    def diffs(idx):
-        # idx holds one table row index, or one array of them, per factor
-        return np.concatenate(
-            [lb[t[i]] - la for lb, la, t, i in zip(lams_b, lams_a, tables, idx)], axis=-1
-        )
+    def flat_index(start, stop):
+        """Table indices of the rows of permutations start .. stop - 1."""
+        m = stop - start
+        if len(tables) == 1:
+            perms[:m] = tables[0][start:stop]
+        else:
+            for t, i, lo, hi in zip(tables, np.unravel_index(np.arange(start, stop), sizes), cols, cols[1:]):
+                perms[:m, lo:hi] = t[i]
+        np.multiply(perms[:m], scale[:m], out=perms[:m])
+        return np.add(perms[:m], offset[:m], out=perms[:m])
 
     # the first permutation is the incumbent whatever its value, NaN included
-    best_idx = (0,) * len(tables)
-    best_val = F.f.value(diffs(best_idx))
+    best_pos = 0
+    best_val = F.f.value(table.take(flat_index(0, 1)[0]))
     for start in range(0, count, ORACLE_BLOCK):
-        idx = np.unravel_index(np.arange(start, min(start + ORACLE_BLOCK, count)), sizes)
-        vals = np.asarray(F.f.value(diffs(idx)), dtype=float)
-        if vals.shape != idx[0].shape:
+        ind = flat_index(start, min(start + ORACLE_BLOCK, count))
+        # "clip" only spares the copy of out that take makes under "raise";
+        # the indices are in range by construction
+        vals = np.asarray(F.f.value(table.take(ind, out=rows[: len(ind)], mode="clip")), dtype=float)
+        if vals.shape != ind.shape[:1]:
             raise AlgebraError(f"{F.f.name} does not map a stack row by row")
         top = (np.fmin if sense == "min" else np.fmax).reduce(vals)
         with np.errstate(invalid="ignore"):  # inf - inf where top is infinite
             near = (np.abs(vals - top) <= ORACLE_ULPS * np.spacing(abs(top))) | (vals == top)
         for j in np.flatnonzero(near):
-            row = tuple(i[j] for i in idx)
-            v = F.f.value(diffs(row))
+            v = F.f.value(table.take(ind[j]))
             if v < best_val if sense == "min" else v > best_val:
-                best_val, best_idx = v, row
+                best_val, best_pos = v, start + j
     coords = np.zeros(spec.dim)
-    for lb, fr, t, i in zip(lams_b, frames, tables, best_idx):
+    for lb, fr, t, i in zip(lams_b, frames, tables, np.unravel_index(best_pos, sizes)):
         coords += lb[t[i]] @ fr
     xbar = Element(spec, coords)
     report = CommutationReport((("shift_a", operator_commutes(xbar, a)[1]),))

@@ -21,8 +21,9 @@ from ejalg import (
     random_element,
     unit,
 )
-from ejalg.algebra import AlgebraError
+from ejalg.algebra import AlgebraError, lyapunov_basis_stack
 from ejalg.liegroup import (
+    RANK_TOL,
     _expm,
     exp_action,
     leibniz_residual,
@@ -40,12 +41,54 @@ EXPECTED_DER_DIM = {
     "spin:4": 3,
     "spin:6": 10,
     "prod(sym:3,spin:4)": 6,
+    "sym:1": 0,
+    "spin:2": 0,
+    "prod(sym:2,sym:3,spin:3)": 5,
 }
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
+@pytest.mark.parametrize("name", EXPECTED_DER_DIM)
 def test_derivation_dimension(name):
     assert derivation_basis(parse_algebra(name)).dimension == EXPECTED_DER_DIM[name]
+
+
+def _loop_derivation_basis(spec):
+    """Gram-Schmidt over every pair i < j: the reference for the loop that stops at dim Der(V)."""
+    dim = spec.dim
+    S = lyapunov_basis_stack(spec)
+    kept = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            w = (S[i] @ S[j] - S[j] @ S[i]).ravel().copy()
+            w0 = np.linalg.norm(w)
+            if w0 <= RANK_TOL:
+                continue
+            for b in kept:  # two passes for stability
+                w -= (b @ w) * b
+            for b in kept:
+                w -= (b @ w) * b
+            r = np.linalg.norm(w)
+            if r > RANK_TOL * (1.0 + w0):
+                kept.append(w / r)
+    return np.stack(kept).reshape(len(kept), dim, dim) if kept else np.zeros((0, dim, dim))
+
+
+@pytest.mark.parametrize("name", EXPECTED_DER_DIM)
+def test_derivation_basis_equals_the_full_loop(name):
+    spec = parse_algebra(name)
+    stack = derivation_basis(spec).stack
+    want = _loop_derivation_basis(spec)
+    assert stack.shape == want.shape == (EXPECTED_DER_DIM[name], spec.dim, spec.dim)
+    assert stack.tobytes() == want.tobytes()
+
+
+def test_derivation_basis_raises_when_derivations_are_missing(monkeypatch):
+    import ejalg.liegroup as lg
+
+    monkeypatch.setattr(lg, "RANK_TOL", np.inf)  # every candidate is rejected
+    with pytest.raises(AlgebraError, match="0 of the 3"):
+        derivation_basis.__wrapped__(parse_algebra("sym:3"))
+    assert derivation_basis.__wrapped__(parse_algebra("rn:4")).dimension == 0
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)

@@ -2,13 +2,18 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ejalg
 from ejalg import (
     AlgebraError,
     Element,
@@ -40,7 +45,7 @@ from ejalg import (
 )
 from ejalg.algebra import split_factors
 from ejalg.algebra import _decompose_rows
-from ejalg.optimize import _coord_fns, _draw_starts, _factor_parts, _permutation_table, membership
+from ejalg.optimize import ORACLE_BLOCK, _coord_fns, _draw_starts, _factor_parts, _permutation_table, membership
 from ejalg.verify import _max_objective, _maxaffine_objective, _quadratic_plus_norm
 
 
@@ -374,6 +379,74 @@ def test_permutation_oracle_needs_stacked_values():
     f = dataclasses.replace(sumsq(), value=lambda u: float(np.sum(u * u)))
     with pytest.raises(AlgebraError):
         permutation_oracle(random_element(spec, rng), random_element(spec, rng), SpectralFunction(f, spec))
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("name", ["sym:8", "prod(sym:7,sym:2)", "prod(sym:2,sym:3,spin:3)"])
+def test_permutation_oracle_gathers_the_loop_rows(name, sense):
+    # sym:8 fills 8 blocks; prod(sym:7,sym:2)'s blocks end inside a product
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(28)
+    a, b = random_element(spec, rng), random_element(spec, rng)
+    parts_a = _factor_parts(a)
+    lams_b = [eigenvalue_map(bf) for bf in split_factors(b)] if spec.kind == "prod" else [eigenvalue_map(b)]
+    loop_rows = np.array([
+        np.concatenate([lb[list(p)] - la for lb, (_, la, _), p in zip(lams_b, parts_a, assign)])
+        for assign in itertools.product(*(itertools.permutations(range(lb.size)) for lb in lams_b))
+    ])
+    stacks, singles = [], []
+
+    def value(u):
+        assert u.dtype == np.float64 and u.flags.c_contiguous
+        # a copy: the oracle may reuse a block's memory for the next one
+        (stacks if u.ndim == 2 else singles).append(u.copy())
+        return sumsq().value(u)
+
+    res = permutation_oracle(a, b, SpectralFunction(dataclasses.replace(sumsq(), value=value), spec), sense)
+    assert res.iterations == len(loop_rows)
+    # every permutation's row once, bit for bit, in blocks in itertools.product order
+    starts = range(0, len(loop_rows), ORACLE_BLOCK)
+    assert [len(u) for u in stacks] == [min(ORACLE_BLOCK, len(loop_rows) - k) for k in starts]
+    assert np.concatenate(stacks).tobytes() == loop_rows.tobytes()
+    # the one-row calls: the first permutation, then re-checks in enumeration order
+    position = {row.tobytes(): k for k, row in enumerate(loop_rows)}  # b's eigenvalues are distinct
+    checked = [position.get(u.tobytes()) for u in singles]
+    assert None not in checked
+    assert checked[0] == 0 and checked[1:] == sorted(set(checked[1:]))
+    for k, u in zip(starts, stacks):  # each block's best row is re-checked
+        vals = sumsq().value(u)
+        assert k + int(np.argmin(vals) if sense == "min" else np.argmax(vals)) in checked[1:]
+
+
+IMPORT_CHECK = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+before = set(sys.modules)
+import ejalg
+print(json.dumps({
+    "modules": sorted({m.split(".")[0] for m in set(sys.modules) - before}),
+    "caches": {
+        f"{name}.{attr}": fn.cache_info().currsize
+        for name, mod in list(sys.modules.items()) if name.split(".")[0] == "ejalg"
+        for attr, fn in vars(mod).items() if hasattr(fn, "cache_info")
+    },
+}))
+"""
+
+# what ``import ejalg`` loads beyond numpy; a new entry here is a new
+# import-time cost for every caller, the benchmark's set-up time included
+IMPORTED_WITH_EJALG = {"__future__", "_blake2", "_hashlib", "copy", "dataclasses", "ejalg", "hashlib"}
+
+
+def test_import_builds_no_table_and_adds_no_module():
+    root = str(Path(ejalg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_CHECK, root], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert set(seen["modules"]) <= IMPORTED_WITH_EJALG
+    assert {"ejalg.optimize._permutation_table", "ejalg.liegroup.derivation_basis"} <= set(seen["caches"])
+    assert {name: size for name, size in seen["caches"].items() if size} == {}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
