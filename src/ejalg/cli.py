@@ -222,8 +222,8 @@ def cmd_demo(args) -> int:
     if args.what != "kappa":
         print(f"error: unknown demo {args.what!r}", file=sys.stderr)
         return USAGE_ERROR
-    if args.eps is None or args.eps <= 0.0:
-        print("error: --eps must be given and positive", file=sys.stderr)
+    if args.eps is None or not (args.eps > 0.0 and np.isfinite(args.eps)):
+        print("error: --eps must be given, positive and finite", file=sys.stderr)
         return USAGE_ERROR
     try:
         cfg = SuiteConfig(algebra=parse_algebra(args.algebra), trials=args.trials, seed=args.seed)

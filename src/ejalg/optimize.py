@@ -97,6 +97,8 @@ def spectral_box(spec: AlgebraSpec, lower, upper) -> FeasibleSet:
         hi = np.full(r, float(hi))
     if lo.shape != (r,) or hi.shape != (r,):
         raise AlgebraError(f"bounds must have length rank={r}")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise AlgebraError("box bounds must be finite")
     if np.any(lo > hi):
         raise AlgebraError("empty box: lower exceeds upper")
     if np.any(np.diff(lo) > 0) or np.any(np.diff(hi) > 0):
@@ -714,21 +716,16 @@ def _finish(obj: Objective, row: _Solve) -> OptResult:
     return OptResult(xbar, row.value, row.iterations, row.stationarity, _diagnostics(obj, xbar, g_el), row.status)
 
 
-def _orbit_basis(obj: Objective, fset: FeasibleSet):
-    if fset.variant != "orbit":
-        raise AlgebraError("orbit_descent needs an orbit feasible set")
-    if fset.algebra != obj.algebra:
-        raise AlgebraError("algebra mismatch")
-    return derivation_basis(obj.algebra)
-
-
-def _orbit_start(fset: FeasibleSet, x0: Element | None) -> np.ndarray:
-    if x0 is None:
+def _start(fset: FeasibleSet, x0: Element | None) -> np.ndarray:
+    """x0's coordinates, checked against the set; None is the set's default start."""
+    if x0 is not None:
+        ok, r = membership(fset, x0, tol=START_TOL)
+        if not ok:
+            raise AlgebraError(f"x0 off the {fset.variant} (residual {r:.2e})")
+        return x0.coords
+    if fset.variant == "orbit":
         return fset.anchor.coords
-    ok, r = membership(fset, x0, tol=START_TOL)
-    if not ok:
-        raise AlgebraError(f"x0 off the orbit (residual {r:.2e})")
-    return x0.coords
+    return combine(canonical_frame(fset.algebra), project_sorted_box(np.zeros(fset.algebra.rank), fset.lower, fset.upper)).coords
 
 
 def orbit_descent(
@@ -742,15 +739,14 @@ def orbit_descent(
     Directions pair the derivation basis against the current
     (sub)gradient; smooth objectives finish with a saddle-free Newton
     endgame on a finite-difference Hessian.  Armijo backtracking with a
-    warm-started trial step.  This is the one-row call of the lockstep
-    core that ``multistart`` runs over all its starts at once.
+    warm-started trial step.  This is the one-problem, one-start call of
+    ``_solve_batch``, x0 None meaning the anchor; a failed start raises
+    an AlgebraError that carries the start's own message.
     """
-    basis = _orbit_basis(obj, fset)
-    start = _orbit_start(fset, x0)
-    (row,) = _orbit_lockstep([obj], basis, start[None], np.array([_sign(obj.sense)]), np.zeros(1, dtype=int), params)
-    if isinstance(row, AlgebraError):
-        raise row
-    return _finish(obj, row)
+    if fset.variant != "orbit":
+        raise AlgebraError("orbit_descent needs an orbit feasible set")
+    ((res,),) = _raise_first(_solve_batch([((obj,), fset, [x0])], params))
+    return res
 
 
 def _factor_parts(x: Element):
@@ -909,13 +905,7 @@ def spectralbox_descent(
     if fset.algebra != spec:
         raise AlgebraError("algebra mismatch")
     lo, hi = fset.lower, fset.upper
-    if x0 is None:
-        u0 = project_sorted_box(np.zeros(spec.rank), lo, hi)
-        x0 = combine(canonical_frame(spec), u0)
-    else:
-        ok, r = membership(fset, x0, tol=START_TOL)
-        if not ok:
-            raise AlgebraError(f"x0 outside the box (residual {r:.2e})")
+    c = _start(fset, x0).copy()
     sgn = _sign(obj.sense)
     val, grad = _coord_fns(obj)
 
@@ -923,7 +913,6 @@ def spectralbox_descent(
         u, frame_rows = _decompose_rows(spec, c)
         return project_sorted_box(u, lo, hi) @ frame_rows
 
-    c = x0.coords.copy()
     fc = sgn * val(c[None])[0]
     s = 1.0
     status = "max_iters"
@@ -1042,36 +1031,32 @@ def _best(obj: Objective, outcomes: list) -> OptResult:
     raise AlgebraError(f"all {len(outcomes)} starts failed: {failures[max(failures)]}")
 
 
-def _results(objs: tuple[Objective, ...], outcomes: list) -> list[OptResult]:
-    return [_best(o, out) for o, out in zip(objs, outcomes)]
-
-
-def _solve_batch(problems: list, params: SolverParams, starts: int) -> list:
-    """Per problem (objs, fset, seed): one OptResult per objective, or an error.
+def _solve_batch(problems: list, params: SolverParams) -> list:
+    """Per problem (objs, fset, x0s): one OptResult per objective, or an error.
 
     A problem's objectives are one objective in one or more senses, and
-    share the start sequence drawn from its seed.  The error is the
-    AlgebraError that ``multistart`` would raise for the problem.  The
-    rows of all orbit problems run in ``_orbit_outcomes``' stacks; box
-    starts are solved one at a time.
+    share its start list x0s, where None is the set's default start;
+    each objective gets its best start (``_best``).  The error is the
+    AlgebraError that every start of the problem failed with, or that
+    failed the problem itself.  The rows of all orbit problems run in
+    ``_orbit_outcomes``' stacks; box starts are solved one at a time.
     """
     if len({fset.algebra for _, fset, _ in problems}) > 1:
         raise AlgebraError("problems of one batch must share an algebra")
     out: list = [None] * len(problems)
     pending, basis = [], None
-    for p, (objs, fset, seed) in enumerate(problems):
-        try:
-            x0s = _draw_starts(fset, starts, seed)
-            if fset.variant == "orbit":
-                basis = _orbit_basis(objs[0], fset)
-                out[p] = [[] for _ in objs]
-                pending.append((objs, [_attempt(_orbit_start, fset, x0) for x0 in x0s], out[p]))
-            else:
-                out[p] = [[_attempt(spectralbox_descent, o, fset, x0, params) for x0 in x0s] for o in objs]
-        except AlgebraError as exc:
-            out[p] = exc
+    for p, (objs, fset, x0s) in enumerate(problems):
+        if fset.variant == "box":
+            out[p] = [[_attempt(spectralbox_descent, o, fset, x0, params) for x0 in x0s] for o in objs]
+        elif fset.algebra != objs[0].algebra:
+            out[p] = AlgebraError("algebra mismatch")
+        else:
+            basis = derivation_basis(fset.algebra)
+            out[p] = [[] for _ in objs]
+            pending.append((objs, [_attempt(_start, fset, x0) for x0 in x0s], out[p]))
     _orbit_outcomes(pending, basis, params)
-    return [res if isinstance(res, AlgebraError) else _attempt(_results, objs, res) for (objs, _, _), res in zip(problems, out)]
+    # list() runs the lazy map inside _attempt, which catches its errors
+    return [res if isinstance(res, AlgebraError) else _attempt(list, map(_best, objs, res)) for (objs, _, _), res in zip(problems, out)]
 
 
 def _raise_first(outcomes: list) -> list:
@@ -1097,7 +1082,7 @@ def multistart(
     Commutation diagnostics are built only for the returned start.
     ``multistart_minmax`` is the two-sense call.
     """
-    ((res,),) = _raise_first(_solve_batch([((obj,), fset, seed)], params, starts))
+    ((res,),) = _raise_first(_solve_batch([((obj,), fset, _draw_starts(fset, starts, seed))], params))
     return res
 
 
@@ -1121,8 +1106,8 @@ def multistart_minmax_batch(
     bit; when that call would raise for some problem, the batch raises
     the error of the first such problem.
     """
-    both = [(_both_senses(obj), fset, seed) for obj, fset, seed in problems]
-    return [tuple(pair) for pair in _raise_first(_solve_batch(both, params, starts))]
+    both = [(_both_senses(obj), fset, _draw_starts(fset, starts, seed)) for obj, fset, seed in problems]
+    return [tuple(pair) for pair in _raise_first(_solve_batch(both, params))]
 
 
 def multistart_minmax(

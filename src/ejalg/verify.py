@@ -41,17 +41,19 @@ from .liegroup import (
     random_derivation,
     tangent_stack,
 )
-from .optimize import (
+from .optimize import (  # multistart is unused but bound: bench/run.py traces it here
     Objective,
     SolverParams,
+    _attempt,
     _both_senses,
     _dot,
+    _draw_starts,
     _matvec,
+    _raise_first,
     _solve_batch,
     kappa_shift,
     multistart,
     orbit,
-    orbit_descent,
     permutation_oracle,
     shifted_spectral,
     spectral_box,
@@ -94,8 +96,8 @@ class Tolerances:
     commute: float = 1e-6
 
     def __post_init__(self):
-        if self.commute <= 0.0:
-            raise AlgebraError("tolerances must be positive")
+        if not (self.commute > 0.0 and math.isfinite(self.commute)):
+            raise AlgebraError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -179,18 +181,22 @@ def _ms_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(2**63))
 
 
-def _solved_records(cfg: SuiteConfig, draw, certify, params: SolverParams = SolverParams(), starts: int = 4) -> list[dict]:
-    """Draw every trial in order, solve them all in one batch, certify in trial order.
+def _multistarts(problems: list, params: SolverParams = SolverParams(), starts: int = 4) -> list:
+    """``_solve_batch`` over (objectives, fset, seed) problems, each from its seed's ``_draw_starts``."""
+    return _solve_batch([(objs, fset, _draw_starts(fset, starts, seed)) for objs, fset, seed in problems], params)
 
-    ``draw(i)`` returns (record, problem, context), where problem is an
-    (objectives, fset, seed) tuple of ``_solve_batch`` or None for a
-    trial with nothing to solve; ``certify(record, context, results)``
-    fills the record from the problem's results, one per objective.  A
-    problem the solver failed raises its AlgebraError when its trial
-    comes up, where the trial-by-trial loop would have raised it.
+
+def _solved_records(drawn: list, certify, solve=_multistarts) -> list[dict]:
+    """Solve every drawn trial at once, then certify them in trial order.
+
+    ``drawn`` holds per trial (record, problem, context), the problem
+    None for a trial with nothing to solve; ``solve(problems)`` returns
+    per problem its results or the AlgebraError that failed it (by
+    default ``_multistarts``), and ``certify(record, context, results)``
+    fills the record.  A failed problem raises its AlgebraError when its
+    trial comes up, where the trial-by-trial loop would have raised it.
     """
-    drawn = [draw(i) for i in range(cfg.trials)]
-    solved = iter(_solve_batch([p for _, p, _ in drawn if p is not None], params, starts))
+    solved = iter(solve([p for _, p, _ in drawn if p is not None]))
     for rec, problem, context in drawn:
         if problem is not None:
             results = next(solved)
@@ -262,7 +268,7 @@ def verify_smooth_principle(cfg: SuiteConfig) -> SuiteReport:
         if rec["status"] != "skip" and worst_comm > tol.commute:
             rec["status"] = "violation"
 
-    return _report("smooth", spec, _solved_records(cfg, draw, certify), ("commute", "stationarity"))
+    return _report("smooth", spec, _solved_records([draw(i) for i in range(cfg.trials)], certify), ("commute", "stationarity"))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +358,7 @@ def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
         if worst > tol.commute:
             rec["status"] = "violation"
 
-    return _report("max", spec, _solved_records(cfg, draw, certify), ("commute", "stationarity"))
+    return _report("max", spec, _solved_records([draw(i) for i in range(cfg.trials)], certify), ("commute", "stationarity"))
 
 
 # ---------------------------------------------------------------------------
@@ -524,54 +530,65 @@ def _crease_newton(spec, C, d, f_extra, x0: np.ndarray, active: list[int], w0: n
     return best
 
 
-def _minimize_maxaffine(spec, C, d, f_extra, fset, x: np.ndarray):
-    """Softmax ladder, then crease Newton, from the coarse solve's point x.
-
-    The coarse solve is a nonsmooth multistart (``MIN_COARSE``, 4
-    starts).  Subgradient descent stalls at the crease at ~square-root
-    accuracy and the smoothed solves land only within O(mu) of the
-    kink, so the active set identified at the last temperature seeds an
-    exact active-set Newton polish.
-    """
-    mu_last = 1e-3
-    for mu in (1e-2, mu_last):
-        polish = _maxaffine_objective(spec, C, d, f_extra, smooth_mu=mu)
-        res = orbit_descent(polish, fset, x0=Element(spec, x), params=SolverParams(max_iters=200, tol=1e-9))
-        x = res.x.coords
+def _crease_polish(C, d, f_extra, b, x: np.ndarray, mu: float) -> tuple[Element, float]:
+    """Crease Newton from x, on the generators within 50 mu of the top piece."""
     z = C @ x + d
     zmax = float(np.max(z))
-    active = [int(j) for j in np.nonzero(zmax - z <= 50.0 * mu_last)[0]]
-    p = np.exp((z[active] - zmax) / mu_last)
-    stat = res.stationarity
+    active = [int(j) for j in np.nonzero(zmax - z <= 50.0 * mu)[0]]
+    p = np.exp((z[active] - zmax) / mu)
     while True:
-        rn, x, w = _crease_newton(spec, C, d, f_extra, x, active, p / p.sum())
-        stat = rn
+        rn, x, w = _crease_newton(b.algebra, C, d, f_extra, x, active, p / p.sum())
         if len(active) == 1 or float(np.min(w)) >= -1e-6:
             break
         # negative multiplier: the generator is not active at the kink
         drop = int(np.argmin(w))
         active = [a for k, a in enumerate(active) if k != drop]
-        p = np.delete(w, drop)
-        p = np.maximum(p, 1e-8)
-    return Element(spec, x), stat
+        p = np.maximum(np.delete(w, drop), 1e-8)
+    return Element(b.algebra, x), rn
 
 
-def _certify_min_trial(spec, C, d, f_extra, b, x0: np.ndarray) -> tuple[dict, Element]:
-    """The min record's fields from the coarse solve's point x0."""
-    x, stat = _minimize_maxaffine(spec, C, d, f_extra, orbit(b), x0)
+def _minimize_maxaffine(trials: list, points: list) -> list:
+    """Softmax ladder, then crease Newton, for (C, d, f_extra, b, seed) trials.
+
+    ``points`` are the trials' coarse points (coordinates) or the
+    AlgebraErrors that stopped them.  Subgradient descent stalls at the
+    crease at ~square-root accuracy and the smoothed solves land only
+    within O(mu) of the kink, so the active set identified at the last
+    temperature seeds an exact active-set Newton polish.  Each
+    temperature is one ``_solve_batch`` over the trials still going.
+    Returns per trial (point, stationarity) or its first AlgebraError.
+    """
+    mu_last = 1e-3
+    for mu in (1e-2, mu_last):
+        points = [x if isinstance(x, AlgebraError) else _attempt(Element, t[3].algebra, x) for t, x in zip(trials, points)]
+        live = [i for i, x in enumerate(points) if isinstance(x, Element)]
+        problems = [((_maxaffine_objective(b.algebra, C, d, f, smooth_mu=mu),), orbit(b), [x]) for (C, d, f, b, _), x in zip(trials, points) if isinstance(x, Element)]
+        for i, res in zip(live, _solve_batch(problems, SolverParams(max_iters=200, tol=1e-9))):
+            points[i] = res if isinstance(res, AlgebraError) else res[0].x.coords
+    return [x if isinstance(x, AlgebraError) else _attempt(_crease_polish, *t[:4], x, mu_last) for t, x in zip(trials, points)]
+
+
+def _solve_min_trials(trials: list) -> list:
+    """One nonsmooth multistart batch (``MIN_COARSE``), then ``_minimize_maxaffine``."""
+    coarse = _multistarts([((_maxaffine_objective(b.algebra, C, d, f_extra),), orbit(b), seed) for C, d, f_extra, b, seed in trials], MIN_COARSE)
+    return _minimize_maxaffine(trials, [res if isinstance(res, AlgebraError) else res[0].x.coords for res in coarse])
+
+
+def _min_fields(C, d, f_extra, x: Element, stat: float) -> dict:
+    """The min record's fields at the polished point x."""
+    spec = x.algebra
     z = C @ x.coords + d
     theta = float(np.max(z))
     active = np.nonzero(z >= theta - ACTIVE_GAP * (1.0 + abs(theta)))[0]
     gens = [Element(spec, C[j].copy()) for j in active]
     w, resid = commuting_witness(x, gens)
-    fields = {
+    return {
         "stationarity": float(stat),
         "active": int(active.size),
         "witness_weights": [float(v) for v in w],
         "commute": float(resid),
         "value": float(theta + (spectral_value_coords(SpectralFunction(f_extra, spec), x.coords) if f_extra else 0.0)),
     }
-    return fields, x
 
 
 def verify_min_principle(cfg: SuiteConfig) -> SuiteReport:
@@ -588,16 +605,15 @@ def verify_min_principle(cfg: SuiteConfig) -> SuiteReport:
         b = random_element(spec, rng)
         seed = _ms_seed(rng)
         rec = {"trial": i, "inputs": _hash_inputs(C, d, b.coords), "generators": m, "status": "ok"}
-        return rec, ((_maxaffine_objective(spec, C, d, f_extra),), orbit(b), seed), (C, d, f_extra, b)
+        return rec, (C, d, f_extra, b, seed), (C, d, f_extra)
 
-    def certify(rec: dict, inputs, results) -> None:
-        fields, _ = _certify_min_trial(spec, *inputs, results[0].x.coords)
-        rec.update(fields)
+    def certify(rec: dict, inputs, polished) -> None:
+        rec.update(_min_fields(*inputs, *polished))
         if rec["commute"] > tol.commute:
             rec["status"] = "violation"
 
-    records = _solved_records(cfg, draw, certify, MIN_COARSE) + [midpoint_witness_record(tol)]
-    return _report("min", spec, records, ("commute", "stationarity"))
+    records = _solved_records([draw(i) for i in range(cfg.trials)], certify, _solve_min_trials)
+    return _report("min", spec, records + [midpoint_witness_record(tol)], ("commute", "stationarity"))
 
 
 def midpoint_witness_record(tol: Tolerances = Tolerances()) -> dict:
@@ -607,7 +623,7 @@ def midpoint_witness_record(tol: Tolerances = Tolerances()) -> dict:
     with cb = -diag(1,0) and p the unit off-diagonal attains its minimum
     -2 at diag(2,1).  Neither generator commutes with the minimizer,
     but their midpoint cb is diagonal and does; the simplex search must
-    find that interior witness.
+    find that interior witness.  It is solved as a one-trial min suite.
     """
     spec = parse_algebra("sym:2")
     b = Element(spec, np.array([2.0, 0.0, 1.0]))
@@ -616,9 +632,8 @@ def midpoint_witness_record(tol: Tolerances = Tolerances()) -> dict:
     C = np.stack([cb + p, cb - p])
     d = np.zeros(2)
     rec = {"trial": "witness", "inputs": _hash_inputs(C, b.coords), "generators": 2, "status": "ok"}
-    coarse = multistart(_maxaffine_objective(spec, C, d, None), orbit(b), MIN_COARSE, starts=4, seed=0)
-    fields, xbar = _certify_min_trial(spec, C, d, None, b, coarse.x.coords)
-    rec.update(fields)
+    ((xbar, stat),) = _raise_first(_solve_min_trials([(C, d, None, b, 0)]))
+    rec.update(_min_fields(C, d, None, xbar, stat))
     rec["endpoint_resid"] = min(
         commutator_residual(xbar, Element(spec, C[0])),
         commutator_residual(xbar, Element(spec, C[1])),
@@ -675,7 +690,7 @@ def verify_shifted_principle(cfg: SuiteConfig, functions: tuple[SymmetricFunctio
         if worst_value > VALUE_TOL or worst_comm > tol.commute:
             rec["status"] = "violation"
 
-    return _report("shifted", spec, _solved_records(cfg, draw, certify), ("commute", "value"))
+    return _report("shifted", spec, _solved_records([draw(i) for i in range(cfg.trials)], certify), ("commute", "value"))
 
 
 # ---------------------------------------------------------------------------
@@ -886,25 +901,11 @@ def kappa_clipping_oracle(lam: np.ndarray, eps: float) -> float:
 
 
 def demo_kappa(cfg: SuiteConfig, eps: float = 0.5) -> SuiteReport:
-    if eps <= 0.0:
-        raise AlgebraError("eps must be positive")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise AlgebraError("eps must be positive and finite")
     spec = cfg.algebra
     fset = spectral_box(spec, -eps, eps)
-
-    def record(trial, a: Element, kappa_a: float, res) -> dict:
-        kappa_x = float(res.value)
-        oracle = kappa_clipping_oracle(eigenvalue_map(a), eps)
-        return {
-            "trial": trial,
-            "inputs": _hash_inputs(a.coords),
-            "status": "ok",
-            "kappa_before": kappa_a,
-            "kappa_after": kappa_x,
-            "oracle": oracle,
-            "oracle_gap": max(kappa_x - oracle, 0.0),
-            "commute": operator_commutes(res.x, a)[1],
-            "increase": max(kappa_x - kappa_a, 0.0),
-        }
+    notes = []
 
     def draw(i: int):
         rng = _trial_rng(cfg, "kappa", i)
@@ -913,31 +914,44 @@ def demo_kappa(cfg: SuiteConfig, eps: float = 0.5) -> SuiteReport:
         lift = eps + float(rng.uniform(0.3, 1.0)) * (1.0 + float(lam0[0] - lam0[-1])) - float(lam0[-1])
         a = x0 + unit(spec) * lift
         kappa_a = float(eigenvalue_map(a)[0] / eigenvalue_map(a)[-1])
-        return {}, ((kappa_shift(a, "min"),), fset, _ms_seed(rng)), (i, a, kappa_a)
+        return {"trial": i}, ((kappa_shift(a, "min"),), fset, _ms_seed(rng)), (a, kappa_a)
 
     def certify(rec: dict, inputs, results) -> None:
-        rec.update(record(*inputs, results[0]))
+        a, kappa_a = inputs
+        (res,) = results
+        kappa_x = float(res.value)
+        oracle = kappa_clipping_oracle(eigenvalue_map(a), eps)
+        rec.update({
+            "inputs": _hash_inputs(a.coords),
+            "status": "ok",
+            "kappa_before": kappa_a,
+            "kappa_after": kappa_x,
+            "oracle": oracle,
+            "oracle_gap": max(kappa_x - oracle, 0.0),
+            "commute": operator_commutes(res.x, a)[1],
+            "increase": max(kappa_x - kappa_a, 0.0),
+        })
+        if rec["trial"] == "reference":
+            rec["oracle_gap"] = abs(kappa_x - oracle)
+            notes.append(f"reference kappa {kappa_x:.6f} vs oracle {oracle:.6f}")
+            if rec["oracle_gap"] > 1e-4:
+                rec["status"] = "violation"
         if rec["increase"] > 1e-12:
             rec["status"] = "violation"
 
-    records = _solved_records(cfg, draw, certify, KAPPA_PARAMS, starts=2)
-    notes = []
-    # reference instance: spectrum (4, 2, 1) on a random frame has a
-    # closed-form optimum (4 - eps) / (1 + eps); the frame is drawn from
-    # the automorphisms, which move frames only on a connected orbit
+    drawn = [draw(i) for i in range(cfg.trials)]
+    # reference, solved with the trials: spectrum (4, 2, 1) on a random
+    # frame has the closed-form optimum (4 - eps) / (1 + eps); the frame
+    # is drawn from the automorphisms, which move it only on a connected orbit
     if spec.rank == 3 and orbit_is_connected(spec):
         rng = _trial_rng(cfg, "kappa", 10**6)
         X = random_automorphism(spec, rng)
         frame_rows = np.stack([X.apply(e).coords for e in canonical_frame(spec)])
         a = Element(spec, np.array([4.0, 2.0, 1.0]) @ frame_rows)
-        rec = record("reference", a, 4.0, multistart(kappa_shift(a, "min"), fset, KAPPA_PARAMS, starts=2, seed=_ms_seed(rng)))
-        rec["oracle_gap"] = abs(rec["kappa_after"] - rec["oracle"])
-        if rec["oracle_gap"] > 1e-4 or rec["increase"] > 1e-12:
-            rec["status"] = "violation"
-        records.append(rec)
-        notes.append(f"reference kappa {rec['kappa_after']:.6f} vs oracle {rec['oracle']:.6f}")
+        drawn.append(({"trial": "reference"}, ((kappa_shift(a, "min"),), fset, _ms_seed(rng)), (a, 4.0)))
     elif spec.rank == 3:
         notes.append("no reference: orbit not connected")
+    records = _solved_records(drawn, certify, lambda problems: _multistarts(problems, KAPPA_PARAMS, starts=2))
     return _report("kappa", spec, records, ("oracle_gap", "increase", "commute"), notes)
 
 

@@ -227,6 +227,19 @@ def test_solver_options_out_of_range_are_usage_errors(capsys):
     assert code == 0
 
 
+def test_non_finite_numbers_are_usage_errors(capsys):
+    # a NaN tolerance would make every "worst > tol" comparison false
+    for value in ("nan", "inf"):
+        code, out, err = run(capsys, "verify", "--suite", "shifted", "--trials", "3", "--tol-commute", value)
+        assert code == 2 and "finite" in err and not out, value
+        code, out, err = run(capsys, "demo", "kappa", "--eps", value, "--trials", "1")
+        assert code == 2 and "--eps" in err and not out, value
+    # an infinite bound would overflow the random starts and pass any start
+    for box in ("-1..inf", "-inf..1", "nan..1", "-1..nan"):
+        code, out, err = run(capsys, "solve", "--algebra", "sym:3", f"--box={box}", "--starts", "2")
+        assert code == 2 and "finite" in err and not out, box
+
+
 def test_demo_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "demo", "kappa", "--eps", "0.5", "--trials", "0")
     assert code == 2 and "trials must be >= 1" in err and not out

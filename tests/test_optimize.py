@@ -66,6 +66,9 @@ def test_spectral_box_validation():
         spectral_box(spec, 1.0, 0.5)
     with pytest.raises(AlgebraError):
         spectral_box(spec, np.array([0.0, 1.0, 0.0]), np.array([2.0, 2.0, 2.0]))
+    for lo, hi in ((-1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (-1.0, [1.0, 1.0, np.nan])):
+        with pytest.raises(AlgebraError, match="finite"):
+            spectral_box(spec, lo, hi)
     fset = spectral_box(spec, -1.0, 1.0)
     assert fset.variant == "box"
 

@@ -7,6 +7,8 @@ import pytest
 
 from ejalg import (
     AlgebraError,
+    Element,
+    SolverParams,
     SuiteConfig,
     SuiteReport,
     Tolerances,
@@ -15,6 +17,8 @@ from ejalg import (
     jordan_product,
     kappa_clipping_oracle,
     midpoint_witness_record,
+    orbit,
+    orbit_descent,
     parse_algebra,
     project_simplex,
     random_element,
@@ -41,8 +45,9 @@ def small(algebra="sym:3", trials=4, seed=0):
 
 
 def test_tolerances_must_be_positive():
-    with pytest.raises(AlgebraError):
-        Tolerances(commute=0.0)
+    for bad in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(AlgebraError):
+            Tolerances(commute=bad)
     assert Tolerances().commute == 1e-6
 
 
@@ -208,10 +213,9 @@ def test_appendix_suite_passes():
 
 
 def test_demo_kappa_rejects_bad_eps():
-    with pytest.raises(AlgebraError):
-        demo_kappa(small(trials=1), eps=0.0)
-    with pytest.raises(AlgebraError):
-        demo_kappa(small(trials=1), eps=-0.5)
+    for eps in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(AlgebraError):
+            demo_kappa(small(trials=1), eps=eps)
 
 
 def test_demo_kappa_reference_only_for_rank3():
@@ -257,14 +261,121 @@ def test_minimize_maxaffine_rejects_non_finite(monkeypatch, stage):
     rng = np.random.default_rng(14)
     C = np.stack([random_element(spec, rng).coords for _ in range(2)])
     nan = np.full(spec.dim, np.nan)
-    fset = ver.orbit(random_element(spec, rng))
-    # the polish starts where the coarse solve of the batch ended
+    b = random_element(spec, rng)
+    trial = (C, np.zeros(2), None, b, 0)
+    # the polish starts where the coarse solve of the batch ended; the
+    # failed trial carries its error, the other one goes on
     start = nan
     if stage == "returned point":
-        start = fset.anchor.coords
+        start = b.coords
         monkeypatch.setattr(ver, "_crease_newton", lambda *args: (0.0, nan, np.ones(1)))
-    with pytest.raises(AlgebraError, match="coords must be finite"):
-        ver._minimize_maxaffine(spec, C, np.zeros(2), None, fset, start)
+    failed, other = ver._minimize_maxaffine([trial, trial], [start, b.coords])
+    assert isinstance(failed, AlgebraError) and "coords must be finite" in str(failed)
+    assert isinstance(other, AlgebraError) == (stage == "returned point")
+
+
+# ---------------------------------------------------------------------------
+# the min suite's staged polishes against the per-trial loop they replaced
+
+
+def _loop_minimize_maxaffine(spec, C, d, f_extra, fset, x):
+    """Two one-row ``orbit_descent`` softmax polishes, then crease Newton, for one trial."""
+    import ejalg.verify as ver
+
+    mu_last = 1e-3
+    for mu in (1e-2, mu_last):
+        polish = ver._maxaffine_objective(spec, C, d, f_extra, smooth_mu=mu)
+        res = orbit_descent(polish, fset, x0=Element(spec, x), params=SolverParams(max_iters=200, tol=1e-9))
+        x = res.x.coords
+    z = C @ x + d
+    zmax = float(np.max(z))
+    active = [int(j) for j in np.nonzero(zmax - z <= 50.0 * mu_last)[0]]
+    p = np.exp((z[active] - zmax) / mu_last)
+    while True:
+        stat, x, w = ver._crease_newton(spec, C, d, f_extra, x, active, p / p.sum())
+        if len(active) == 1 or float(np.min(w)) >= -1e-6:
+            break
+        drop = int(np.argmin(w))
+        active = [a for k, a in enumerate(active) if k != drop]
+        p = np.maximum(np.delete(w, drop), 1e-8)
+    return Element(spec, x), stat
+
+
+def _staged_against_loop(name: str, trials: int, seed: int) -> tuple[int, list]:
+    """(trials compared, trials that differ) of a min suite run against the loop.
+
+    Runs ``verify_min_principle``, records every staged polish with the
+    coarse points it started from, and polishes each trial again with
+    ``_loop_minimize_maxaffine``; a trial differs unless its point and
+    stationarity bits (or its error text) are the loop's.  The midpoint
+    instance is one more trial.
+    """
+    import ejalg.verify as ver
+
+    calls = []
+    real = ver._minimize_maxaffine
+
+    def staged(trials, points):
+        out = real(trials, points)
+        calls.append((trials, points, out))
+        return out
+
+    ver._minimize_maxaffine = staged
+    try:
+        verify_min_principle(SuiteConfig(parse_algebra(name), trials=trials, seed=seed))
+    finally:
+        ver._minimize_maxaffine = real
+    compared, differ = 0, []
+    for trials, points, out in calls:
+        for (C, d, f_extra, b, _), x, got in zip(trials, points, out):
+            try:
+                want = _loop_minimize_maxaffine(b.algebra, C, d, f_extra, orbit(b), x)
+            except AlgebraError as exc:
+                want = exc
+            compared += 1
+            if isinstance(got, AlgebraError) or isinstance(want, AlgebraError):
+                same = str(got) == str(want)
+            else:
+                same = got[0].coords.tobytes() == want[0].coords.tobytes() and float(got[1]).hex() == float(want[1]).hex()
+            if not same:
+                differ.append(f"{name} {b.algebra} trial {compared - 1}")
+    return compared, differ
+
+
+@pytest.mark.parametrize("name", ["sym:3", "spin:4", "prod(sym:2,spin:3)"])
+def test_staged_polishes_match_the_per_trial_loop(name):
+    compared, differ = _staged_against_loop(name, 6, 70)
+    assert compared == 7  # six trials and the midpoint instance
+    assert differ == []
+
+
+def test_min_suite_solves_in_stages(monkeypatch):
+    import ejalg.optimize as opt
+
+    stacks = []
+    real = opt._orbit_lockstep
+    monkeypatch.setattr(opt, "_orbit_lockstep", lambda *args: stacks.append(len(args[2])) or real(*args))
+    for trials in (4, 24):
+        stacks.clear()
+        assert verify_min_principle(small(trials=trials)).passed
+        # coarse, mu = 1e-2, mu = 1e-3; then the same three for the midpoint
+        assert stacks == [4 * trials, trials, trials, 4, 1, 1]
+
+
+def test_suites_call_no_one_problem_solver(monkeypatch):
+    import ejalg.optimize as opt
+    import ejalg.verify as ver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite called a one-problem solver")
+
+    for mod in (opt, ver):
+        for name in ("orbit_descent", "multistart"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    for name in ("smooth", "max", "min", "shifted", "kappa"):
+        rep = run_suite(name, small(trials=2))
+        assert rep.passed, name
+    assert rep.records[-1]["trial"] == "reference"
 
 
 def test_commutation_checks_have_power():
