@@ -499,11 +499,6 @@ def lyapunov_map(a: Element) -> np.ndarray:
     return np.tensordot(a.coords, lyapunov_basis_stack(a.algebra), axes=(0, 0))
 
 
-def frobenius_inner(X: np.ndarray, Y: np.ndarray) -> float:
-    """Trace inner product of operators; Frobenius in orthonormal coords."""
-    return float(np.tensordot(X, Y))
-
-
 def tensor_map(u: Element, v: Element) -> np.ndarray:
     """Rank-one map x -> <v, x> u, i.e. the matrix u v^T."""
     _same_algebra(u, v)

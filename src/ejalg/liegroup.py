@@ -233,14 +233,6 @@ def basis_curve_points(basis: DerivationBasis, coords: np.ndarray, t: np.ndarray
     return curves.at(np.asarray(t)[:, None])
 
 
-def multiplicativity_residual(spec: AlgebraSpec, X: np.ndarray) -> float:
-    """Worst defect of X(a o b) = Xa o Xb over orthonormal basis pairs."""
-    T = _structure_tensor(spec)
-    lhs = np.einsum("ijk,lk->ijl", T, X)
-    rhs = np.einsum("ai,bj,abk->ijk", X, X, T)
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))
-
-
 def exp_derivation(spec: AlgebraSpec, D: np.ndarray) -> Automorphism:
     """exp(D) as an Automorphism; rejects non-derivations."""
     D = np.asarray(D, dtype=float)

@@ -24,7 +24,6 @@ from .algebra import (
     commutator_residual,
     eigenvalue_map,
     lyapunov_map,
-    norm,
     operator_commutes,
     parse_algebra,
     random_element,
@@ -87,8 +86,8 @@ VALUE_TOL = 1e-6
 # the kappa demo's monotonicity certificate comes from the zero start; at
 # this tol the box solver's value is within rounding of the closed forms
 KAPPA_PARAMS = SolverParams(max_iters=150, tol=1e-8)
-# the min suite's coarse nonsmooth solve, which the softmax ladder polishes
-MIN_COARSE = SolverParams(max_iters=150, tol=1e-6)
+# the min suite's softmax solves, one per temperature
+SOFTMAX_PARAMS = SolverParams(max_iters=200, tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -363,11 +362,14 @@ def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
 
 # ---------------------------------------------------------------------------
 # min principle: some subgradient of a finitely generated convex term
-# commutes with a local minimizer; the witness is found by a simplex
-# search over the active generators
+# commutes with a local minimizer.  The solver follows the softmax
+# smoothing of the max-affine term down two temperatures and finishes on
+# the crease with Newton; the witness is the nearest-to-zero commutator
+# on the simplex of the active generators
 
 
-def _maxaffine_objective(spec, C, d, f_extra, smooth_mu=None, sense="min") -> Objective:
+def _maxaffine_objective(spec, C, d, f_extra, smooth_mu, sense="min") -> Objective:
+    """max_j (<c_j, x> + d_j), softmax-smoothed at temperature smooth_mu, plus the spectral tail."""
     F = SpectralFunction(f_extra, spec) if f_extra is not None else None
 
     def pieces(x: np.ndarray) -> np.ndarray:
@@ -378,8 +380,7 @@ def _maxaffine_objective(spec, C, d, f_extra, smooth_mu=None, sense="min") -> Ob
     def value_c(x: np.ndarray):
         z = pieces(x)
         s = np.max(z, axis=-1, keepdims=True)
-        if smooth_mu is not None:
-            s = s + smooth_mu * np.log(np.add.reduce(np.exp((z - s) / smooth_mu), axis=-1, keepdims=True))
+        s = s + smooth_mu * np.log(np.add.reduce(np.exp((z - s) / smooth_mu), axis=-1, keepdims=True))
         out = s[..., 0]
         if F is not None:
             out = out + spectral_value_coords(F, x)
@@ -387,21 +388,18 @@ def _maxaffine_objective(spec, C, d, f_extra, smooth_mu=None, sense="min") -> Ob
 
     def subgrad_c(x: np.ndarray) -> np.ndarray:
         z = pieces(x)
-        if smooth_mu is None:
-            g = C[np.argmax(z, axis=-1)]
-        else:
-            p = np.exp((z - np.max(z, axis=-1, keepdims=True)) / smooth_mu)
-            p = p / np.add.reduce(p, axis=-1, keepdims=True)
-            g = _matvec(C.T, p)
+        p = np.exp((z - np.max(z, axis=-1, keepdims=True)) / smooth_mu)
+        p = p / np.add.reduce(p, axis=-1, keepdims=True)
+        g = _matvec(C.T, p)
         if F is not None:
             g = g + spectral_subgrad_coords(F, x)
         return g
 
     return Objective(
-        label="maxaffine" + ("" if smooth_mu is None else f":mu={smooth_mu:g}"),
+        label=f"maxaffine:mu={smooth_mu:g}",
         algebra=spec,
         sense=sense,
-        smooth=smooth_mu is not None,
+        smooth=True,
         value_c=value_c,
         subgrad_c=subgrad_c,
     )
@@ -422,13 +420,13 @@ def project_simplex(w: np.ndarray) -> np.ndarray:
 def commuting_witness(xbar: Element, generators: list[Element]) -> tuple[np.ndarray, float]:
     """Weights on the generator simplex minimizing the commutator residual.
 
-    The residual r(w) = ||[L_x, L_{sum w_j c_j}]||_F is a convex
-    quadratic in w through the Gram matrix of the individual
-    commutators.  The minimizer lies in the relative interior of some
-    simplex face, where it solves that face's equality-KKT system, so
-    enumerating faces finds it exactly; a short projected-gradient
-    polish covers rank-deficient faces whose KKT solve lands outside.
-    Returns (weights, normalized residual).
+    ||[L_x, L_{sum w_j c_j}]||_F^2 is a convex quadratic in w through
+    the Gram matrix of the individual commutators.  Up to 12 generators
+    every simplex face is tried: a vertex of the minimizer set lies in
+    the relative interior of a face whose equality-KKT system is
+    nonsingular, so the enumeration finds a minimizer exactly.  Past 12,
+    projected gradient from the barycenter approaches one.  Returns
+    (weights, ``commutator_residual`` of xbar and sum w_j c_j).
     """
     Lx = lyapunov_map(xbar)
     Ks = []
@@ -441,8 +439,8 @@ def commuting_witness(xbar: Element, generators: list[Element]) -> tuple[np.ndar
         for b in range(a, m):
             G[a, b] = G[b, a] = float(np.sum(Ks[a] * Ks[b]))
     w = np.full(m, 1.0 / m)
-    best = float(w @ G @ w)
     if m <= 12:
+        best = float(w @ G @ w)
         for mask in range(1, 2**m):
             idx = [j for j in range(m) if mask >> j & 1]
             r = len(idx)
@@ -461,14 +459,14 @@ def commuting_witness(xbar: Element, generators: list[Element]) -> tuple[np.ndar
             val = float(cand @ G @ cand)
             if val < best:
                 best, w = val, cand
-    lip = 2.0 * float(np.max(np.linalg.eigvalsh(G)))
-    if lip > 0.0:
-        step = 1.0 / lip
-        for _ in range(SIMPLEX_ITERS):
-            w = project_simplex(w - step * 2.0 * (G @ w))
-    raw = math.sqrt(max(float(w @ G @ w), 0.0))
+    else:
+        lip = 2.0 * float(np.max(np.linalg.eigvalsh(G)))
+        if lip > 0.0:
+            step = 1.0 / lip
+            for _ in range(SIMPLEX_ITERS):
+                w = project_simplex(w - step * 2.0 * (G @ w))
     mix = sum((g * float(wj) for g, wj in zip(generators, w)), start=generators[0] * 0.0)
-    return w, raw / (1.0 + norm(xbar) * norm(mix))
+    return w, commutator_residual(xbar, mix)
 
 
 def _tail_grad_hess(f_extra, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,30 +546,28 @@ def _crease_polish(C, d, f_extra, b, x: np.ndarray, mu: float) -> tuple[Element,
 
 
 def _minimize_maxaffine(trials: list, points: list) -> list:
-    """Softmax ladder, then crease Newton, for (C, d, f_extra, b, seed) trials.
+    """Softmax at mu = 1e-3, then crease Newton, for (C, d, f_extra, b, seed) trials.
 
-    ``points`` are the trials' coarse points (coordinates) or the
-    AlgebraErrors that stopped them.  Subgradient descent stalls at the
-    crease at ~square-root accuracy and the smoothed solves land only
-    within O(mu) of the kink, so the active set identified at the last
-    temperature seeds an exact active-set Newton polish.  Each
-    temperature is one ``_solve_batch`` over the trials still going.
-    Returns per trial (point, stationarity) or its first AlgebraError.
+    ``points`` are the trials' mu = 1e-2 points (coordinates) or the
+    AlgebraErrors that stopped them.  The smoothed solves land only
+    within O(mu) of the kink, so the active set identified at mu = 1e-3
+    seeds an exact active-set Newton polish.  The softmax solve is one
+    ``_solve_batch`` over the trials still going.  Returns per trial
+    (point, stationarity) or its first AlgebraError.
     """
-    mu_last = 1e-3
-    for mu in (1e-2, mu_last):
-        points = [x if isinstance(x, AlgebraError) else _attempt(Element, t[3].algebra, x) for t, x in zip(trials, points)]
-        live = [i for i, x in enumerate(points) if isinstance(x, Element)]
-        problems = [((_maxaffine_objective(b.algebra, C, d, f, smooth_mu=mu),), orbit(b), [x]) for (C, d, f, b, _), x in zip(trials, points) if isinstance(x, Element)]
-        for i, res in zip(live, _solve_batch(problems, SolverParams(max_iters=200, tol=1e-9))):
-            points[i] = res if isinstance(res, AlgebraError) else res[0].x.coords
-    return [x if isinstance(x, AlgebraError) else _attempt(_crease_polish, *t[:4], x, mu_last) for t, x in zip(trials, points)]
+    mu = 1e-3
+    points = [x if isinstance(x, AlgebraError) else _attempt(Element, t[3].algebra, x) for t, x in zip(trials, points)]
+    live = [i for i, x in enumerate(points) if isinstance(x, Element)]
+    problems = [((_maxaffine_objective(b.algebra, C, d, f, mu),), orbit(b), [x]) for (C, d, f, b, _), x in zip(trials, points) if isinstance(x, Element)]
+    for i, res in zip(live, _solve_batch(problems, SOFTMAX_PARAMS)):
+        points[i] = res if isinstance(res, AlgebraError) else res[0].x.coords
+    return [x if isinstance(x, AlgebraError) else _attempt(_crease_polish, *t[:4], x, mu) for t, x in zip(trials, points)]
 
 
 def _solve_min_trials(trials: list) -> list:
-    """One nonsmooth multistart batch (``MIN_COARSE``), then ``_minimize_maxaffine``."""
-    coarse = _multistarts([((_maxaffine_objective(b.algebra, C, d, f_extra),), orbit(b), seed) for C, d, f_extra, b, seed in trials], MIN_COARSE)
-    return _minimize_maxaffine(trials, [res if isinstance(res, AlgebraError) else res[0].x.coords for res in coarse])
+    """Softmax at mu = 1e-2 from every trial's 4 drawn starts in one batch, then ``_minimize_maxaffine``."""
+    first = _multistarts([((_maxaffine_objective(b.algebra, C, d, f_extra, 1e-2),), orbit(b), seed) for C, d, f_extra, b, seed in trials], SOFTMAX_PARAMS)
+    return _minimize_maxaffine(trials, [res if isinstance(res, AlgebraError) else res[0].x.coords for res in first])
 
 
 def _min_fields(C, d, f_extra, x: Element, stat: float) -> dict:

@@ -15,7 +15,6 @@ from ejalg import (
     combine,
     direct_product,
     eigenvalue_map,
-    frobenius_inner,
     inner,
     jordan_product,
     lyapunov_map,
@@ -278,13 +277,12 @@ def test_lyapunov_is_self_adjoint():
         assert np.allclose(L, L.T, atol=1e-12)
 
 
-def test_tensor_map_and_frobenius():
+def test_tensor_map():
     spec = parse_algebra("sym:3")
     rng = np.random.default_rng(6)
     u, v = random_element(spec, rng), random_element(spec, rng)
     T = tensor_map(u, v)
     assert np.allclose(T, np.outer(u.coords, v.coords))
-    assert abs(frobenius_inner(T, T) - inner(u, u) * inner(v, v)) <= 1e-10
 
 
 # -- commutation --------------------------------------------------------------

@@ -202,7 +202,7 @@ def _row_exact_cases(spec, rng):
         for kind in ("linear", "shifted"):
             objs[f"max_objective:{kind}:{name}"] = _max_objective(spec, kind, c, f)
     C, d = rng.standard_normal((3, spec.dim)), rng.standard_normal(3)
-    objs["maxaffine_objective"] = _maxaffine_objective(spec, C, d, schatten(2))
+    objs["maxaffine_objective"] = dataclasses.replace(_maxaffine_objective(spec, C, d, schatten(2), 1e-2), smooth=False)
     objs["maxaffine_objective:mu=0.01"] = _maxaffine_objective(spec, C, d, sumsq(), smooth_mu=1e-2)
     cases = {name: (obj.value_c, _coord_fns(obj)[1]) for name, obj in objs.items()}
     # a symmetric function takes rows of any length
@@ -632,7 +632,7 @@ def _batch_problems(spec, rng, kappa=False):
     A = rng.standard_normal((spec.dim, spec.dim))
     objs.append(_quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), rng.standard_normal(spec.dim)))
     # nonsmooth: plain subgradient steps beside the Newton rows
-    objs.append(_maxaffine_objective(spec, rng.standard_normal((2, spec.dim)), rng.standard_normal(2), sumsq()))
+    objs.append(dataclasses.replace(_maxaffine_objective(spec, rng.standard_normal((2, spec.dim)), rng.standard_normal(2), sumsq(), 1e-2), smooth=False))
     if kappa:
         objs.append(kappa_shift(unit(spec) * 6.0 + random_element(spec, rng)))
     return [(o, orbit(random_element(spec, rng)), int(rng.integers(1000))) for o in objs]

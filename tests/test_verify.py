@@ -17,6 +17,8 @@ from ejalg import (
     jordan_product,
     kappa_clipping_oracle,
     midpoint_witness_record,
+    multistart,
+    operator_commutes,
     orbit,
     orbit_descent,
     parse_algebra,
@@ -130,6 +132,74 @@ def test_commuting_witness_prefers_commuting_generator():
     w, resid = commuting_witness(x, [good, bad])
     assert resid <= 1e-8
     assert w[0] >= 0.99
+
+
+def _witness(x, gens):
+    """``commuting_witness``, checking its weights lie on the simplex and its residual is its mix's own."""
+    w, resid = commuting_witness(x, gens)
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+    mix = sum((g * float(wj) for g, wj in zip(gens, w)), start=gens[0] * 0.0)
+    assert resid == operator_commutes(x, mix)[1]
+    return w, resid
+
+
+def test_commuting_witness_finds_an_interior_minimizer():
+    # K_2 = -K_1: neither generator commutes with x, but their midpoint does
+    rng = np.random.default_rng(5)
+    x = random_element(SYM3, rng)
+    good, u = jordan_product(x, x), random_element(SYM3, rng)
+    gens = [good + u, good - u]
+    assert min(operator_commutes(x, g)[1] for g in gens) > 1e-3
+    w, resid = _witness(x, gens)
+    assert resid <= 1e-14
+    assert np.allclose(w, [0.5, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["duplicated", "rank-deficient", "collinear"])
+def test_commuting_witness_on_degenerate_generator_sets(case):
+    rng = np.random.default_rng(6)
+    x = random_element(SYM3, rng)
+    good, u, v = jordan_product(x, x), random_element(SYM3, rng), random_element(SYM3, rng)
+    if case == "duplicated":
+        w, resid = _witness(x, [u, good, u, good])
+        assert resid <= 1e-14 and w[0] + w[2] <= 1e-12
+    elif case == "rank-deficient":
+        # the commutators span two directions; only the midpoint of the
+        # first and third mixes to zero
+        w, resid = _witness(x, [u, v, good * 2.0 - u, (u + v) * 0.5])
+        assert resid <= 1e-14
+        assert np.allclose(w, [0.5, 0.0, 0.5, 0.0], atol=1e-9)
+    else:
+        # positive multiples of one commutator: the shortest one wins
+        w, resid = _witness(x, [u, u * 2.0, u * 3.0])
+        assert np.allclose(w, [1.0, 0.0, 0.0], atol=1e-12)
+        assert abs(resid - operator_commutes(x, u)[1]) <= 1e-15
+
+
+def test_commuting_witness_polishes_only_past_twelve_generators(monkeypatch):
+    import ejalg.verify as ver
+
+    calls = []
+    real = ver.project_simplex
+    monkeypatch.setattr(ver, "project_simplex", lambda w: calls.append(1) or real(w))
+    rng = np.random.default_rng(7)
+    x = random_element(SYM3, rng)
+    gens = [random_element(SYM3, rng) for _ in range(13)]
+    # the face enumeration is exact up to 12 generators
+    _, resid = _witness(x, gens[:12])
+    assert calls == [] and resid <= 1e-14
+    _, resid = _witness(x, gens)
+    assert len(calls) == ver.SIMPLEX_ITERS and resid <= 1e-12
+
+
+def test_commuting_witness_negative_control():
+    # three generic commutators in the 3-dimensional image of [L_x, L_.]
+    # on sym:3 are independent, so no mix of them commutes with x
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = random_element(SYM3, rng)
+        _, resid = _witness(x, [random_element(SYM3, rng) for _ in range(3)])
+        assert resid > Tolerances().commute
 
 
 def test_midpoint_witness_record_passes():
@@ -263,8 +333,8 @@ def test_minimize_maxaffine_rejects_non_finite(monkeypatch, stage):
     nan = np.full(spec.dim, np.nan)
     b = random_element(spec, rng)
     trial = (C, np.zeros(2), None, b, 0)
-    # the polish starts where the coarse solve of the batch ended; the
-    # failed trial carries its error, the other one goes on
+    # the mu = 1e-3 solve starts where the batch's mu = 1e-2 solve ended;
+    # the failed trial carries its error, the other one goes on
     start = nan
     if stage == "returned point":
         start = b.coords
@@ -275,22 +345,21 @@ def test_minimize_maxaffine_rejects_non_finite(monkeypatch, stage):
 
 
 # ---------------------------------------------------------------------------
-# the min suite's staged polishes against the per-trial loop they replaced
+# the min suite's staged solves against the per-trial loop
 
 
-def _loop_minimize_maxaffine(spec, C, d, f_extra, fset, x):
-    """Two one-row ``orbit_descent`` softmax polishes, then crease Newton, for one trial."""
+def _loop_minimize_maxaffine(spec, C, d, f_extra, fset, seed):
+    """One trial: a 4-start ``multistart`` at mu = 1e-2, an ``orbit_descent`` at mu = 1e-3, then crease Newton."""
     import ejalg.verify as ver
 
-    mu_last = 1e-3
-    for mu in (1e-2, mu_last):
-        polish = ver._maxaffine_objective(spec, C, d, f_extra, smooth_mu=mu)
-        res = orbit_descent(polish, fset, x0=Element(spec, x), params=SolverParams(max_iters=200, tol=1e-9))
-        x = res.x.coords
+    params = SolverParams(max_iters=200, tol=1e-9)
+    x = multistart(ver._maxaffine_objective(spec, C, d, f_extra, 1e-2), fset, params, 4, seed).x
+    mu = 1e-3
+    x = orbit_descent(ver._maxaffine_objective(spec, C, d, f_extra, mu), fset, x0=x, params=params).x.coords
     z = C @ x + d
     zmax = float(np.max(z))
-    active = [int(j) for j in np.nonzero(zmax - z <= 50.0 * mu_last)[0]]
-    p = np.exp((z[active] - zmax) / mu_last)
+    active = [int(j) for j in np.nonzero(zmax - z <= 50.0 * mu)[0]]
+    p = np.exp((z[active] - zmax) / mu)
     while True:
         stat, x, w = ver._crease_newton(spec, C, d, f_extra, x, active, p / p.sum())
         if len(active) == 1 or float(np.min(w)) >= -1e-6:
@@ -304,8 +373,8 @@ def _loop_minimize_maxaffine(spec, C, d, f_extra, fset, x):
 def _staged_against_loop(name: str, trials: int, seed: int) -> tuple[int, list]:
     """(trials compared, trials that differ) of a min suite run against the loop.
 
-    Runs ``verify_min_principle``, records every staged polish with the
-    coarse points it started from, and polishes each trial again with
+    Runs ``verify_min_principle``, records every staged solve with the
+    trials it solved, and solves each trial again with
     ``_loop_minimize_maxaffine``; a trial differs unless its point and
     stationarity bits (or its error text) are the loop's.  The midpoint
     instance is one more trial.
@@ -313,23 +382,23 @@ def _staged_against_loop(name: str, trials: int, seed: int) -> tuple[int, list]:
     import ejalg.verify as ver
 
     calls = []
-    real = ver._minimize_maxaffine
+    real = ver._solve_min_trials
 
-    def staged(trials, points):
-        out = real(trials, points)
-        calls.append((trials, points, out))
+    def staged(trials):
+        out = real(trials)
+        calls.append((trials, out))
         return out
 
-    ver._minimize_maxaffine = staged
+    ver._solve_min_trials = staged
     try:
         verify_min_principle(SuiteConfig(parse_algebra(name), trials=trials, seed=seed))
     finally:
-        ver._minimize_maxaffine = real
+        ver._solve_min_trials = real
     compared, differ = 0, []
-    for trials, points, out in calls:
-        for (C, d, f_extra, b, _), x, got in zip(trials, points, out):
+    for trials, out in calls:
+        for (C, d, f_extra, b, seed), got in zip(trials, out):
             try:
-                want = _loop_minimize_maxaffine(b.algebra, C, d, f_extra, orbit(b), x)
+                want = _loop_minimize_maxaffine(b.algebra, C, d, f_extra, orbit(b), seed)
             except AlgebraError as exc:
                 want = exc
             compared += 1
@@ -358,8 +427,8 @@ def test_min_suite_solves_in_stages(monkeypatch):
     for trials in (4, 24):
         stacks.clear()
         assert verify_min_principle(small(trials=trials)).passed
-        # coarse, mu = 1e-2, mu = 1e-3; then the same three for the midpoint
-        assert stacks == [4 * trials, trials, trials, 4, 1, 1]
+        # mu = 1e-2 from 4 starts, mu = 1e-3; then the same two for the midpoint
+        assert stacks == [4 * trials, trials, 4, 1]
 
 
 def test_suites_call_no_one_problem_solver(monkeypatch):
