@@ -23,6 +23,7 @@ from .algebra import (
     canonical_frame,
     commutator_residual,
     eigenvalue_map,
+    lyapunov_basis_stack,
     lyapunov_map,
     operator_commutes,
     parse_algebra,
@@ -79,7 +80,6 @@ TANGENT_TOL = 1e-8
 CONTROL_FLOOR = 1e-4
 CONTROL_RATE = 0.95
 ACTIVE_GAP = 1e-4
-SIMPLEX_ITERS = 500
 CREASE_ITERS = 20
 # relative gap allowed between a solver's optimal value and the oracle's
 VALUE_TOL = 1e-6
@@ -364,8 +364,9 @@ def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
 # min principle: some subgradient of a finitely generated convex term
 # commutes with a local minimizer.  The solver follows the softmax
 # smoothing of the max-affine term down two temperatures and finishes on
-# the crease with Newton; the witness is the nearest-to-zero commutator
-# on the simplex of the active generators
+# the crease with Newton; the witness mixes the active generators by
+# Wolfe's nearest point to 0 in the convex hull of their commutators
+# with the minimizer, which reads only the minimizer and the generators
 
 
 def _maxaffine_objective(spec, C, d, f_extra, smooth_mu, sense="min") -> Objective:
@@ -405,68 +406,59 @@ def _maxaffine_objective(spec, C, d, f_extra, smooth_mu, sense="min") -> Objecti
     )
 
 
-def project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    w = np.asarray(w, dtype=float)
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, w.size + 1)
-    cond = u - css / ks > 0
-    k = int(np.max(ks[cond]))
-    tau = css[k - 1] / k
-    return np.maximum(w - tau, 0.0)
-
-
 def commuting_witness(xbar: Element, generators: list[Element]) -> tuple[np.ndarray, float]:
     """Weights on the generator simplex minimizing the commutator residual.
 
-    ||[L_x, L_{sum w_j c_j}]||_F^2 is a convex quadratic in w through
-    the Gram matrix of the individual commutators.  Up to 12 generators
-    every simplex face is tried: a vertex of the minimizer set lies in
-    the relative interior of a face whose equality-KKT system is
-    nonsingular, so the enumeration finds a minimizer exactly.  Past 12,
-    projected gradient from the barycenter approaches one.  Returns
-    (weights, ``commutator_residual`` of xbar and sum w_j c_j).
+    [L_x, L_{sum w_j c_j}] = sum w_j K_j with K_j = [L_x, L_{c_j}], so
+    the best mix is the nearest point to 0 in the convex hull of the
+    flattened K_j.  Wolfe's algorithm ("Finding the nearest point in a
+    polytope", Math. Program. 11, 1976) finds it exactly for any number
+    of generators.  Each corral's affine min-norm point is a least-squares
+    solve on the K_j themselves, and every step is invariant under a
+    common scale of the generators, so the weights do not depend on it;
+    only where the minimizing weights are not unique can rounding pick
+    another minimizer.  Returns (weights, ``commutator_residual`` of xbar
+    and sum w_j c_j).
     """
     Lx = lyapunov_map(xbar)
-    Ks = []
-    for g in generators:
-        Lg = lyapunov_map(g)
-        Ks.append(Lx @ Lg - Lg @ Lx)
-    m = len(Ks)
-    G = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            G[a, b] = G[b, a] = float(np.sum(Ks[a] * Ks[b]))
-    w = np.full(m, 1.0 / m)
-    if m <= 12:
-        best = float(w @ G @ w)
-        for mask in range(1, 2**m):
-            idx = [j for j in range(m) if mask >> j & 1]
-            r = len(idx)
-            kkt = np.zeros((r + 1, r + 1))
-            kkt[:r, :r] = 2.0 * G[np.ix_(idx, idx)]
-            kkt[:r, r] = 1.0
-            kkt[r, :r] = 1.0
-            rhs = np.zeros(r + 1)
-            rhs[r] = 1.0
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            if np.any(sol[:r] < -1e-12):
-                continue
-            cand = np.zeros(m)
-            cand[idx] = np.clip(sol[:r], 0.0, None)
-            cand /= cand.sum()
-            val = float(cand @ G @ cand)
-            if val < best:
-                best, w = val, cand
-    else:
-        lip = 2.0 * float(np.max(np.linalg.eigvalsh(G)))
-        if lip > 0.0:
-            step = 1.0 / lip
-            for _ in range(SIMPLEX_ITERS):
-                w = project_simplex(w - step * 2.0 * (G @ w))
-    mix = sum((g * float(wj) for g, wj in zip(generators, w)), start=generators[0] * 0.0)
-    return w, commutator_residual(xbar, mix)
+    Lg = np.tensordot(np.stack([g.coords for g in generators]), lyapunov_basis_stack(xbar.algebra), axes=(1, 0))
+    K = (Lx @ Lg - Lg @ Lx).reshape(len(generators), -1)
+    norms = np.linalg.norm(K, axis=1)
+    # <K_j, p> below |p|^2 by less than floor * |p| is rounding
+    floor = 1e-14 * float(norms.max())
+    corral, lam = [int(np.argmin(norms))], np.ones(1)
+    while True:
+        p = lam @ K[corral]
+        pp = float(p @ p)
+        j = int(np.argmin(K @ p))
+        # p is nearest once no K_j lies below <., p> = |p|^2
+        if j in corral or float(K[j] @ p) >= pp - floor * math.sqrt(pp):
+            break
+        S, w = corral + [j], np.append(lam, 0.0)
+        while True:
+            A = K[S]
+            beta = np.linalg.lstsq((A[1:] - A[0]).T, -A[0], rcond=None)[0]
+            alpha = np.concatenate([[1.0 - beta.sum()], beta])
+            if np.all(alpha > 0.0):
+                w = alpha
+                break
+            # walk from w toward alpha until a weight reaches zero, drop it
+            out = np.nonzero(alpha <= 0.0)[0]
+            ratios = [w[i] / (w[i] - alpha[i]) if w[i] > 0.0 else 0.0 for i in out]
+            k = int(out[np.argmin(ratios)])
+            w = w + min(ratios) * (alpha - w)
+            w[k] = 0.0
+            S, w = [s for s, v in zip(S, w) if v > 0.0], w[w > 0.0]
+        q = w @ K[S]
+        # each corral shortens p, unless rounding stalls it
+        if float(q @ q) >= pp:
+            break
+        corral, lam = S, w
+    weights = np.zeros(len(generators))
+    weights[corral] = lam
+    weights /= weights.sum()
+    mix = sum((g * float(wj) for g, wj in zip(generators, weights)), start=generators[0] * 0.0)
+    return weights, commutator_residual(xbar, mix)
 
 
 def _tail_grad_hess(f_extra, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,13 +16,13 @@ from ejalg import (
     demo_kappa,
     jordan_product,
     kappa_clipping_oracle,
+    lyapunov_map,
     midpoint_witness_record,
     multistart,
     operator_commutes,
     orbit,
     orbit_descent,
     parse_algebra,
-    project_simplex,
     random_element,
     run_suite,
     suite_names,
@@ -112,16 +112,102 @@ def test_report_counts_match_records(name, algebra):
 # witness helpers
 
 
-def test_project_simplex_cases():
-    w = project_simplex(np.array([0.2, 0.5, 0.3]))
-    assert np.allclose(w, [0.2, 0.5, 0.3])
-    w = project_simplex(np.array([2.0, 0.0, 0.0]))
-    assert np.allclose(w, [1.0, 0.0, 0.0])
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        w = project_simplex(rng.normal(size=5))
-        assert np.all(w >= -1e-12)
-        assert abs(w.sum() - 1.0) <= 1e-12
+def _commutators(x, gens) -> np.ndarray:
+    """The flattened commutators [L_x, L_{c_j}], one generator at a time."""
+    Lx = lyapunov_map(x)
+    return np.stack([(Lx @ lyapunov_map(g) - lyapunov_map(g) @ Lx).ravel() for g in gens])
+
+
+def _enumerated_weights(x, gens) -> np.ndarray:
+    """Reference witness weights: the best minimizer over every face of the simplex.
+
+    |sum w_j K_j|^2 is a convex quadratic in w through the Gram matrix G
+    of the commutators.  A vertex of its minimizer set lies in the
+    relative interior of a face whose equality-KKT system is
+    nonsingular, so solving that system on all 2^m faces finds a
+    minimizer; when none beats the barycenter, the barycenter is kept.
+    """
+    Ks = _commutators(x, gens)
+    m = len(gens)
+    G = Ks @ Ks.T
+    w = np.full(m, 1.0 / m)
+    best = float(w @ G @ w)
+    for mask in range(1, 2**m):
+        idx = [j for j in range(m) if mask >> j & 1]
+        r = len(idx)
+        kkt = np.zeros((r + 1, r + 1))
+        kkt[:r, :r] = 2.0 * G[np.ix_(idx, idx)]
+        kkt[:r, r] = 1.0
+        kkt[r, :r] = 1.0
+        rhs = np.zeros(r + 1)
+        rhs[r] = 1.0
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        if np.any(sol[:r] < -1e-12):
+            continue
+        cand = np.zeros(m)
+        cand[idx] = np.clip(sol[:r], 0.0, None)
+        cand /= cand.sum()
+        val = float(cand @ G @ cand)
+        if val < best:
+            best, w = val, cand
+    return w
+
+
+WITNESS_FAMILIES = ("random", "duplicated", "collinear", "rank-deficient", "commuting")
+
+
+def _generator_set(spec, rng, m: int, family: str) -> tuple:
+    """(x, m generators) of one degenerate family.
+
+    duplicated: each of about m/2 generators twice; collinear: multiples
+    of one generator, of both signs; rank-deficient: mixes of two
+    generators and x o x, whose commutators span two directions;
+    commuting: random generators with x o x last.
+    """
+    x = random_element(spec, rng)
+    us = [random_element(spec, rng) for _ in range(m)]
+    xx = jordan_product(x, x)
+    if family == "duplicated":
+        gens = [us[j // 2] for j in range(m)]
+    elif family == "collinear":
+        gens = [us[0] * float(t) for t in rng.uniform(-2.0, 2.0, m)]
+    elif family == "rank-deficient":
+        gens = [us[0] * float(a) + us[1 % m] * float(b) + xx * float(c) for a, b, c in rng.standard_normal((m, 3))]
+    elif family == "commuting":
+        gens = us[: m - 1] + [xx]
+    else:
+        gens = us
+    return x, gens
+
+
+def _witness_breaks(algebra: str, sets: int, seed: int) -> list:
+    """The generator sets of a seeded draw on which ``commuting_witness`` breaks a bound.
+
+    Set k is of family k mod 5 at scale 1, 1e-6 or 1e6 (by k // 5 mod 3)
+    with 1 to 20 generators.  Its weights must lie on the simplex and
+    p = sum w_j K_j must satisfy the nearest-point condition
+    min_j <p, K_j> >= |p|^2 - 1e-12 max |K_j|^2; with at most 12
+    generators at scale 1, |p| must also be within 1e-12 max |K_j| of
+    the face enumeration's.  Returns (k, family, m, scale) per broken set.
+    """
+    spec = parse_algebra(algebra)
+    rng = np.random.default_rng(seed)
+    broken = []
+    for k in range(sets):
+        family, scale, m = WITNESS_FAMILIES[k % 5], (1.0, 1e-6, 1e6)[k // 5 % 3], 1 + int(rng.integers(20))
+        x, gens = _generator_set(spec, rng, m, family)
+        gens = [g * scale for g in gens]
+        w, _ = commuting_witness(x, gens)
+        K = _commutators(x, gens)
+        top = float(np.max(np.linalg.norm(K, axis=1)))
+        p = w @ K
+        ok = bool(np.all(w >= 0.0)) and abs(w.sum() - 1.0) <= 1e-12
+        ok = ok and float(np.min(K @ p)) >= p @ p - 1e-12 * top**2
+        if ok and m <= 12 and scale == 1.0:
+            ok = np.linalg.norm(p) <= np.linalg.norm(_enumerated_weights(x, gens) @ K) + 1e-12 * top
+        if not ok:
+            broken.append((k, family, m, scale))
+    return broken
 
 
 def test_commuting_witness_prefers_commuting_generator():
@@ -176,20 +262,30 @@ def test_commuting_witness_on_degenerate_generator_sets(case):
         assert abs(resid - operator_commutes(x, u)[1]) <= 1e-15
 
 
-def test_commuting_witness_polishes_only_past_twelve_generators(monkeypatch):
-    import ejalg.verify as ver
-
-    calls = []
-    real = ver.project_simplex
-    monkeypatch.setattr(ver, "project_simplex", lambda w: calls.append(1) or real(w))
+def test_commuting_witness_is_exact_past_twelve_generators():
+    # 12 positive multiples of one generator, then x o x, which commutes
+    # with x: the only minimizer is the last vertex
     rng = np.random.default_rng(7)
     x = random_element(SYM3, rng)
-    gens = [random_element(SYM3, rng) for _ in range(13)]
-    # the face enumeration is exact up to 12 generators
-    _, resid = _witness(x, gens[:12])
-    assert calls == [] and resid <= 1e-14
-    _, resid = _witness(x, gens)
-    assert len(calls) == ver.SIMPLEX_ITERS and resid <= 1e-12
+    u = random_element(SYM3, rng)
+    w, resid = _witness(x, [u * float(t) for t in range(1, 13)] + [jordan_product(x, x)])
+    assert np.max(np.abs(w - np.eye(13)[12])) <= 1e-12
+    assert resid <= 1e-14
+
+
+def test_commuting_witness_weights_do_not_depend_on_scale():
+    rng = np.random.default_rng(1)
+    x = random_element(SYM3, rng)
+    gens = [random_element(SYM3, rng) for _ in range(4)]
+    w1, _ = _witness(x, gens)
+    for scale in (1e-6, 1e6):
+        w, _ = _witness(x, [g * scale for g in gens])
+        assert np.max(np.abs(w - w1)) <= 1e-12
+
+
+@pytest.mark.parametrize("algebra", ["sym:3", "spin:4", "prod(sym:2,spin:3)"])
+def test_commuting_witness_matches_the_face_enumeration(algebra):
+    assert _witness_breaks(algebra, 60, 17) == []
 
 
 def test_commuting_witness_negative_control():
