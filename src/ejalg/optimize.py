@@ -503,7 +503,7 @@ class _Lockstep:
     or the AlgebraError that failed it, by row index.
     """
 
-    def __init__(self, starts: np.ndarray, k: int, sgn: np.ndarray, own: np.ndarray):
+    def __init__(self, starts: np.ndarray, sgn: np.ndarray, own: np.ndarray):
         m = len(starts)
         self.out: list = [None] * m
         self.rows = {
@@ -514,11 +514,6 @@ class _Lockstep:
             "fc": np.zeros(m),
             "stat": np.full(m, np.inf),
             "t_prev": np.ones(m),
-            "Vp": np.zeros((m, k, k)),  # cached saddle-free Hessian factorization
-            "wp": np.ones((m, k)),
-            "factored": np.zeros(m, dtype=bool),
-            "age": np.zeros(m, dtype=int),
-            "full_step": np.ones(m, dtype=bool),
         }
 
     def __getitem__(self, key: str) -> np.ndarray:
@@ -547,8 +542,8 @@ def _orbit_lockstep(objs: list[Objective], basis, starts: np.ndarray, sgn: np.nd
     x <- exp(t D) x, minimizing ``sgn[i]`` times the value of
     ``objs[own[i]]``; the objectives' own ``sense`` is not read.  Every
     iteration evaluates the center pairings, each Armijo trial round and
-    the Hessian probes of the rows that refresh their curvature in
-    stacked calls over rows of either sign and any owner (``_StackFns``).
+    the Hessian probes of the Newton rows in stacked calls over rows of
+    either sign and any owner (``_StackFns``).
     The stacked calls compute each row as it would alone and negation is
     exact, so a row's trajectory does not depend on the other rows.
     Returns one entry per row: a _Solve, or the AlgebraError that failed
@@ -558,7 +553,7 @@ def _orbit_lockstep(objs: list[Objective], basis, starts: np.ndarray, sgn: np.nd
     smooth = np.array([o.smooth for o in objs])
     dim, k = basis.algebra.dim, basis.dimension
     S = basis.stack
-    st = _Lockstep(starts, k, sgn, own)
+    st = _Lockstep(starts, sgn, own)
     fc, errors = fns.value(st["c"], st["own"])
     st["fc"][:] = st["sgn"] * fc
     bad = ~np.isfinite(fc)
@@ -594,27 +589,18 @@ def _orbit_lockstep(objs: list[Objective], basis, starts: np.ndarray, sgn: np.nd
         # tolerances need the stationarity tail, which plain descent crawls
         # through; |curvature| keeps saddle escapes at a sane scale
         newton = smooth[st["own"]] & ((it > 3) | (stat <= 1e-2 * (1.0 + np.abs(fc))))
-        # curvature barely moves inside the quadratic basin, so reuse
-        # the factorization while full steps keep landing
-        refresh = newton & (~st["factored"] | ~st["full_step"] | (st["age"] >= 5))
-        st["age"][newton & ~refresh] += 1
-        if refresh.any():
-            bad = _refresh_curvature(st, basis, fns, beta, refresh)
+        if newton.any():
+            d[newton], bad = _newton_directions(st, basis, fns, beta, newton)
             if bad.any():
                 st.keep(~bad)
-                beta, stat, newton, d = beta[~bad], stat[~bad], newton[~bad], d[~bad]
+                beta, newton, d = beta[~bad], newton[~bad], d[~bad]
                 c, fc = st["c"], st["fc"]
                 if not len(st):
                     break
-        if newton.any():
-            Vp, wp = st["Vp"][newton], st["wp"][newton]
-            y = (Vp.swapaxes(1, 2) @ beta[newton][:, :, None])[:, :, 0] / wp
-            d[newton] = -(Vp @ y[:, :, None])[:, :, 0]
         slope = np.add.reduce(d * beta, axis=1)  # derivative of val along the curve, < 0
         D = (d[:, None, :] @ S.reshape(k, -1)).reshape(-1, dim, dim)
         t = np.where(newton, 1.0, np.minimum(1.0, 2.0 * st["t_prev"]))
         accepted, stalled, errors = _armijo(fns, st["sgn"], st["own"], D, c, fc, t, slope, newton)
-        st["full_step"][:] = np.where(newton & accepted, t == 1.0, st["full_step"])
         st["t_prev"][:] = np.where(~newton & accepted, t, st["t_prev"])
         failed = np.zeros(len(st), dtype=bool)
         failed[list(errors)] = True
@@ -628,18 +614,19 @@ def _orbit_lockstep(objs: list[Objective], basis, starts: np.ndarray, sgn: np.nd
     return st.out
 
 
-def _refresh_curvature(st: _Lockstep, basis, fns: _StackFns, beta: np.ndarray, refresh: np.ndarray) -> np.ndarray:
-    """New saddle-free factorizations for the rows in ``refresh``.
+def _newton_directions(st: _Lockstep, basis, fns: _StackFns, beta: np.ndarray, newton: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Saddle-free Newton directions of the rows in ``newton``, from fresh curvature.
 
     Forward differences of the pairing along each basis curve, off the
     already-computed center pairing, symmetrized (the O(h) skew part
-    cancels); the k probes of every refreshed row come from the cached
+    cancels); the k probes of every Newton row come from the cached
     eigendecomposition of the basis maps, and take one stacked
-    subgradient call.  Returns the mask of rows that failed, already
-    recorded in ``st``.
+    subgradient call.  Returns (the directions -V |w|^-1 V^T beta of the
+    Newton rows, the mask of rows that failed, already recorded in
+    ``st``).
     """
     k, dim = basis.dimension, basis.algebra.dim
-    rows = np.flatnonzero(refresh)
+    rows = np.flatnonzero(newton)
     c = st["c"][rows]
     h = 1e-5 * (1.0 + np.sqrt(np.add.reduce(c * c, axis=1)))
     probes = basis_curve_points(basis, c, h).reshape(-1, dim)
@@ -651,14 +638,11 @@ def _refresh_curvature(st: _Lockstep, basis, fns: _StackFns, beta: np.ndarray, r
     ok = np.isfinite(H).all(axis=(1, 2))
     w, V = np.linalg.eigh(np.where(ok[:, None, None], H, 0.0))
     floor = np.maximum(1e-8 * np.max(np.abs(w), axis=1, initial=0.0), 1e-10)
-    st["Vp"][rows] = V
-    st["wp"][rows] = np.maximum(np.abs(w), floor[:, None])
-    st["age"][rows] = 0
-    st["factored"][rows] = True
+    y = (V.swapaxes(1, 2) @ beta[rows][:, :, None])[:, :, 0] / np.maximum(np.abs(w), floor[:, None])
     bad = np.zeros(len(st), dtype=bool)
     bad[rows[~ok]] = True
     st.fail(bad, {rows[j // k]: e for j, e in errors.items()}, "subgradient")
-    return bad
+    return -(V @ y[:, :, None])[:, :, 0], bad
 
 
 def _armijo(fns: _StackFns, sgn, own, D, c, fc, t, slope, newton):

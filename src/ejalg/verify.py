@@ -417,11 +417,13 @@ def commuting_witness(xbar: Element, generators: list[Element]) -> tuple[np.ndar
     solve on the K_j themselves, and every step is invariant under a
     common scale of the generators, so the weights do not depend on it;
     only where the minimizing weights are not unique can rounding pick
-    another minimizer.  Returns (weights, ``commutator_residual`` of xbar
-    and sum w_j c_j).
+    another minimizer.  Returns (weights, |sum w_j K_j| / (1 + |x| max_j |c_j|)):
+    the residual is scaled by the generators, not by their mix, so weights
+    that cancel large generators leave only rounding relative to them.
     """
+    G = np.stack([g.coords for g in generators])
     Lx = lyapunov_map(xbar)
-    Lg = np.tensordot(np.stack([g.coords for g in generators]), lyapunov_basis_stack(xbar.algebra), axes=(1, 0))
+    Lg = np.tensordot(G, lyapunov_basis_stack(xbar.algebra), axes=(1, 0))
     K = (Lx @ Lg - Lg @ Lx).reshape(len(generators), -1)
     norms = np.linalg.norm(K, axis=1)
     # <K_j, p> below |p|^2 by less than floor * |p| is rounding
@@ -457,8 +459,8 @@ def commuting_witness(xbar: Element, generators: list[Element]) -> tuple[np.ndar
     weights = np.zeros(len(generators))
     weights[corral] = lam
     weights /= weights.sum()
-    mix = sum((g * float(wj) for g, wj in zip(generators, weights)), start=generators[0] * 0.0)
-    return weights, commutator_residual(xbar, mix)
+    scale = 1.0 + float(np.linalg.norm(xbar.coords)) * float(np.linalg.norm(G, axis=1).max())
+    return weights, float(np.linalg.norm(weights @ K)) / scale
 
 
 def _tail_grad_hess(f_extra, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

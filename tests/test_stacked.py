@@ -668,10 +668,32 @@ def test_nonsmooth_rows_refresh_no_curvature(monkeypatch):
     nonsmooth = [j for j, (obj, _, _) in enumerate(problems) if not obj.smooth]
     assert nonsmooth and len(nonsmooth) < len(problems)
     owners = []
-    real = opt._refresh_curvature
-    monkeypatch.setattr(opt, "_refresh_curvature", lambda st, *args: owners.extend(st["own"][args[-1]]) or real(st, *args))
+    real = opt._newton_directions
+    monkeypatch.setattr(opt, "_newton_directions", lambda st, *args: owners.extend(st["own"][args[-1]]) or real(st, *args))
     multistart_minmax_batch(problems, SolverParams(), 4)
     assert owners and not set(owners) & set(nonsmooth)
+
+
+def test_newton_rows_get_fresh_curvature_every_iteration(monkeypatch):
+    import ejalg.optimize as opt
+
+    # the iteration's Newton mask reaches the curvature probes and then, as
+    # the full-step rows, the Armijo round: every Newton row is probed anew
+    calls = []
+    real_dirs, real_armijo = opt._newton_directions, opt._armijo
+    monkeypatch.setattr(opt, "_newton_directions", lambda st, *args: calls.append(("probe", args[-1].copy())) or real_dirs(st, *args))
+    monkeypatch.setattr(opt, "_armijo", lambda *args: calls.append(("armijo", args[-1].copy())) or real_armijo(*args))
+    multistart_minmax_batch(_batch_problems(parse_algebra("sym:3"), np.random.default_rng(28)), SolverParams(), 4)
+    steps = [(i, mask) for i, (what, mask) in enumerate(calls) if what == "armijo"]
+    newton_steps = [(i, mask) for i, mask in steps if mask.any()]
+    assert newton_steps and len(newton_steps) < len(steps)
+    for i, mask in steps:
+        probed = calls[i - 1][1] if i and calls[i - 1][0] == "probe" else np.zeros_like(mask)
+        assert np.array_equal(probed, mask)
+    assert len(calls) == len(steps) + len(newton_steps)
+    # and the stack carries no curvature from one iteration to the next
+    st = opt._Lockstep(np.zeros((2, 6)), np.ones(2), np.zeros(2, dtype=int))
+    assert set(st.rows) == {"id", "sgn", "own", "c", "fc", "stat", "t_prev"}
 
 
 def test_batch_rejects_mixed_algebras():

@@ -221,11 +221,12 @@ def test_commuting_witness_prefers_commuting_generator():
 
 
 def _witness(x, gens):
-    """``commuting_witness``, checking its weights lie on the simplex and its residual is its mix's own."""
+    """``commuting_witness``, checking its weights lie on the simplex and its residual
+    is |sum w_j K_j| / (1 + |x| max_j |c_j|), up to the rounding of the K_j."""
     w, resid = commuting_witness(x, gens)
     assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
-    mix = sum((g * float(wj) for g, wj in zip(gens, w)), start=gens[0] * 0.0)
-    assert resid == operator_commutes(x, mix)[1]
+    top = max(np.linalg.norm(g.coords) for g in gens)
+    assert abs(resid - np.linalg.norm(w @ _commutators(x, gens)) / (1.0 + np.linalg.norm(x.coords) * top)) <= 1e-14
     return w, resid
 
 
@@ -259,7 +260,9 @@ def test_commuting_witness_on_degenerate_generator_sets(case):
         # positive multiples of one commutator: the shortest one wins
         w, resid = _witness(x, [u, u * 2.0, u * 3.0])
         assert np.allclose(w, [1.0, 0.0, 0.0], atol=1e-12)
-        assert abs(resid - operator_commutes(x, u)[1]) <= 1e-15
+        # u's own residual, scaled by the largest generator 3u instead of u
+        xu = np.linalg.norm(x.coords) * np.linalg.norm(u.coords)
+        assert abs(resid - operator_commutes(x, u)[1] * (1.0 + xu) / (1.0 + 3.0 * xu)) <= 1e-15
 
 
 def test_commuting_witness_is_exact_past_twelve_generators():
@@ -296,6 +299,20 @@ def test_commuting_witness_negative_control():
         x = random_element(SYM3, rng)
         _, resid = _witness(x, [random_element(SYM3, rng) for _ in range(3)])
         assert resid > Tolerances().commute
+
+
+def test_commuting_witness_residual_is_scaled_by_the_generators():
+    # u, -u and u/2 mix to 0 at weights (0, 1/3, 2/3) at every scale s;
+    # scaled by the mix, rounding read 1.8e-6 at s = 1e10 and 1.6e-4 at 1e12
+    rng = np.random.default_rng(4)
+    x, u = random_element(SYM3, rng), random_element(SYM3, rng)
+    for s in (1.0, 1e6, 1e10, 1e12):
+        w, resid = _witness(x, [u * s, u * -s, u * (0.5 * s)])
+        assert np.allclose(w, [0.0, 1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+        assert resid <= Tolerances().commute
+    # a generator that does not commute with x still reads as a violation
+    _, resid = _witness(x, [random_element(SYM3, rng) * 1e10])
+    assert resid > Tolerances().commute
 
 
 def test_midpoint_witness_record_passes():
