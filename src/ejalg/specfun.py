@@ -38,8 +38,10 @@ class SymmetricFunction:
     """Permutation-invariant f: R^k -> R with convexity metadata.
 
     value and subgrad map a (..., k) stack row by row, returning (...)
-    values and (..., k) subgradients; a 1-D call is a one-row stack and
-    gives its row the same bits.
+    values and (..., k) subgradients.  A 1-D call is a one-row stack:
+    on a C-contiguous stack each row gets the bits of its one-row call;
+    on another layout (the permutation oracle's column blocks) a row
+    can differ from it in the last ulps.
     """
 
     name: str

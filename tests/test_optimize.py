@@ -43,9 +43,9 @@ from ejalg import (
     sumsq,
     unit,
 )
-from ejalg.algebra import split_factors
+from ejalg.algebra import _factor_slices, split_factors
 from ejalg.algebra import _decompose_rows
-from ejalg.optimize import ORACLE_BLOCK, _coord_fns, _draw_starts, _factor_parts, _permutation_table, membership
+from ejalg.optimize import ORACLE_BLOCK, ORACLE_ULPS, _coord_fns, _draw_starts, _permutation_table, membership
 from ejalg.verify import _max_objective, _maxaffine_objective, _quadratic_plus_norm
 
 
@@ -269,9 +269,24 @@ def test_permutation_oracle_respects_factors():
     assert lo.value >= unconstrained - 1e-9
 
 
+def _element_parts(x):
+    """_factor_parts through Element, JordanFrame and split_factors: its reference."""
+    spec = x.algebra
+    if spec.kind != "prod":
+        sd = spectral_decompose(x)
+        return [(spec, sd.eigenvalues, np.stack([e.coords for e in sd.frame]))]
+    parts = []
+    for xf, s in zip(split_factors(x), _factor_slices(spec)):
+        sd = spectral_decompose(xf)
+        F = np.zeros((xf.algebra.rank, spec.dim))
+        F[:, s] = np.stack([e.coords for e in sd.frame])
+        parts.append((xf.algebra, sd.eigenvalues, F))
+    return parts
+
+
 def _loop_oracle(a, b, F, sense):
     """The one-permutation-at-a-time oracle loop: the reference for the blocked one."""
-    parts_a = _factor_parts(a)
+    parts_a = _element_parts(a)
     if a.algebra.kind == "prod":
         lams_b = [eigenvalue_map(xf) for xf in split_factors(b)]
     else:
@@ -364,7 +379,7 @@ def test_permutation_oracle_non_finite_values_match_the_loop(rows, fill):
     a = random_element(spec, rng)
     b = random_element(spec, rng)
     # the row of the first permutation: identity in every factor
-    first = np.concatenate([eigenvalue_map(bf) - la for bf, (_, la, _) in zip(split_factors(b), _factor_parts(a))])
+    first = np.concatenate([eigenvalue_map(bf) - la for bf, (_, la, _) in zip(split_factors(b), _element_parts(a))])
 
     def value(u):
         is_first = np.all(u == first, axis=-1)
@@ -391,7 +406,7 @@ def test_permutation_oracle_gathers_the_loop_rows(name, sense):
     spec = parse_algebra(name)
     rng = np.random.default_rng(28)
     a, b = random_element(spec, rng), random_element(spec, rng)
-    parts_a = _factor_parts(a)
+    parts_a = _element_parts(a)
     lams_b = [eigenvalue_map(bf) for bf in split_factors(b)] if spec.kind == "prod" else [eigenvalue_map(b)]
     loop_rows = np.array([
         np.concatenate([lb[list(p)] - la for lb, (_, la, _), p in zip(lams_b, parts_a, assign)])
@@ -400,9 +415,10 @@ def test_permutation_oracle_gathers_the_loop_rows(name, sense):
     stacks, singles = [], []
 
     def value(u):
-        assert u.dtype == np.float64 and u.flags.c_contiguous
+        # a stack is the .T view of a (rank, rows) buffer; a one-row call is a C-contiguous row
+        assert u.dtype == np.float64 and (u.T if u.ndim == 2 else u).flags.c_contiguous
         # a copy: the oracle may reuse a block's memory for the next one
-        (stacks if u.ndim == 2 else singles).append(u.copy())
+        (stacks if u.ndim == 2 else singles).append(np.array(u, order="C"))
         return sumsq().value(u)
 
     res = permutation_oracle(a, b, SpectralFunction(dataclasses.replace(sumsq(), value=value), spec), sense)
@@ -419,6 +435,56 @@ def test_permutation_oracle_gathers_the_loop_rows(name, sense):
     for k, u in zip(starts, stacks):  # each block's best row is re-checked
         vals = sumsq().value(u)
         assert k + int(np.argmin(vals) if sense == "min" else np.argmax(vals)) in checked[1:]
+
+
+ORACLE_FUNCTIONS = [schatten(1), schatten(1.5), schatten(2), schatten(3), sumsq()]
+# the largest gap, in value spacings, between a builtin function's value on
+# a row of a column-layout stack and its one-row value, at ranks 8 and 9
+COLUMN_GAP_ULPS = 3
+
+
+def test_oracle_ulps_cover_the_column_layout_gap():
+    # the oracle hands each function the .T view of a (rank, rows) buffer
+    rng = np.random.default_rng(29)
+    for rank in range(2, 10):
+        for scale in (1e-3, 1.0, 1e3):
+            buf = scale * rng.standard_normal((rank, ORACLE_BLOCK))
+            rows = [np.ascontiguousarray(c) for c in buf.T]
+            for f in ORACLE_FUNCTIONS:
+                stacked, single = f.value(buf.T), np.array([f.value(r) for r in rows])
+                if rank <= 7:
+                    assert stacked.tobytes() == single.tobytes(), (f.name, rank, scale)
+                else:
+                    assert np.all(np.abs(stacked - single) <= COLUMN_GAP_ULPS * np.spacing(single)), (f.name, rank)
+    # a block's true best is within 2 g spacings of its stacked best, 4 g
+    # across a binade edge, and the oracle re-checks every row that close
+    assert ORACLE_ULPS >= 4 * COLUMN_GAP_ULPS
+
+
+def _tied_element(spec, rng, scale, near):
+    """Each factor's spectrum drawn with repeats from 3 values, exactly tied or 1e-9 apart."""
+    coords = []
+    for f in spec.factors if spec.kind == "prod" else (spec,):
+        values = scale * rng.choice(rng.standard_normal(3), size=f.rank)
+        if near:
+            values = values + 1e-9 * scale * rng.integers(-2, 3, size=f.rank)
+        coords.append(combine(spectral_decompose(random_element(f, rng)).frame, values).coords)
+    return Element(spec, np.concatenate(coords))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["rn:4", "sym:3", "sym:5", "spin:6", "sym:6", "prod(sym:3,spin:4)", "prod(rn:2,sym:2,spin:3)"]),
+    st.sampled_from(ORACLE_FUNCTIONS),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_permutation_oracle_tied_and_near_tied_b_match_the_loop(name, f, scale, near, seed):
+    spec = parse_algebra(name)
+    rng = np.random.default_rng(seed)
+    b = _tied_element(spec, rng, scale, near)
+    _assert_matches_loop(random_element(spec, rng), b, SpectralFunction(f, spec))
 
 
 IMPORT_CHECK = """
@@ -456,7 +522,8 @@ def test_import_builds_no_table_and_adds_no_module():
 def test_permutation_table_is_itertools_order(n):
     table = _permutation_table(n)
     assert table.dtype == np.int8
-    assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
+    # one column per permutation
+    assert table.T.tolist() == [list(p) for p in itertools.permutations(range(n))]
     # kept across calls, so no caller may write to it
     assert _permutation_table(n) is table
     assert not table.flags.writeable
