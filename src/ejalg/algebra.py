@@ -11,14 +11,13 @@ matrices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance ladder: construction identities are tightest, generic
-# invariant checks sit in the middle, optimizer certificates are loosest.
+# Tolerance ladder: construction identities are tightest, optimizer
+# certificates are loosest.
 CONSTRUCTION_TOL = 1e-12
-INVARIANT_TOL = 1e-9
 CERT_TOL = 1e-6
 TIE_TOL = 1e-8
 
@@ -323,7 +322,6 @@ class SpectralDecomposition:
     algebra: AlgebraSpec
     eigenvalues: np.ndarray
     frame: JordanFrame
-    blocks: tuple[tuple[int, ...], ...] = field(default=())
 
 
 def multiplicity_blocks(eigenvalues: np.ndarray, tol: float = TIE_TOL) -> tuple[tuple[int, ...], ...]:
@@ -396,16 +394,12 @@ def _decompose_rows(spec: AlgebraSpec, c: np.ndarray):
     return lam[at_row, order].reshape(lead + (spec.rank,)), F[at_row, order].reshape(lead + F.shape[1:])
 
 
-def spectral_decompose(x: Element, tol: float = TIE_TOL) -> SpectralDecomposition:
-    """Full eigendecomposition with an explicit Jordan frame.
-
-    Eigenvalues come back nonincreasing; ties are grouped into
-    multiplicity blocks at an absolute-plus-relative tolerance.
-    """
+def spectral_decompose(x: Element) -> SpectralDecomposition:
+    """Full eigendecomposition with an explicit Jordan frame, eigenvalues nonincreasing."""
     spec = x.algebra
     lam, F = _decompose_rows(spec, x.coords)
     frame = JordanFrame(tuple(_make(spec, row) for row in F))
-    return SpectralDecomposition(spec, lam, frame, multiplicity_blocks(lam, tol))
+    return SpectralDecomposition(spec, lam, frame)
 
 
 def _eigvals(spec: AlgebraSpec, c: np.ndarray) -> np.ndarray:

@@ -184,10 +184,11 @@ class CommutationReport:
 class OptResult:
     """A solver's answer.
 
-    ``status`` is "converged" (stationarity within tol), "stalled" (the
-    Newton step predicts a decrease below the rounding of the value and
-    its full step raises the value), "max_iters", "line_search_failed",
-    or "oracle" for the brute-force enumeration.
+    ``status`` is "converged" (stationarity within tol), "stalled" (an
+    orbit Newton step or a box trial step predicts a decrease below the
+    rounding of the value; the orbit step raises the value beyond that
+    rounding, the box step moves it only within it), "max_iters",
+    "line_search_failed", or "oracle" for the brute-force enumeration.
     """
 
     x: Element
@@ -206,11 +207,9 @@ class Objective:
     ``value_c`` and ``subgrad_c`` map an (m, dim) stack row by row to
     (m,) values and (m, dim) subgradients; solvers call them on stacks
     only, a single point as a one-row stack.  A missing ``subgrad_c``
-    means central finite differences.  ``smooth`` hints whether a Newton
-    endgame is worthwhile; nonsmooth objectives use plain subgradient
-    steps.  ``value`` and ``subgradient`` are their Element views,
-    derived through a one-row stack when not given; the derived
-    subgradient rejects a result that is not finite.
+    means central finite differences.  ``value`` and ``subgradient`` are
+    their Element views, derived through a one-row stack when not given;
+    the derived subgradient rejects a result that is not finite.
     """
 
     label: str
@@ -218,7 +217,6 @@ class Objective:
     sense: str
     value_c: Callable[[np.ndarray], float]
     subgrad_c: Callable[[np.ndarray], np.ndarray] | None = None
-    smooth: bool = True
     anchors: tuple[tuple[str, Element], ...] = ()
     value: Callable[[Element], float] | None = None
     subgradient: Callable[[Element], Element] | None = None
@@ -267,7 +265,6 @@ def shifted_spectral(F: SpectralFunction, a: Element, sense: str = "min") -> Obj
         label=f"{F.f.name}(x - a)",
         algebra=F.algebra,
         sense=sense,
-        smooth=True,
         anchors=(("shift_a", a),),
         value_c=kernel.value_c,
         subgrad_c=kernel.subgrad_c,
@@ -275,10 +272,11 @@ def shifted_spectral(F: SpectralFunction, a: Element, sense: str = "min") -> Obj
 
 
 def linear_plus_spectral(c: Element, F: SpectralFunction | None, sense: str = "min") -> Objective:
+    """<c, x> + F(x), the pairing one ``_dot`` per row; F None drops the spectral term."""
     cc = c.coords
 
     def value_c(xc: np.ndarray) -> float:
-        out = np.add.reduce(xc * cc, axis=-1)
+        out = _dot(cc, xc)
         if F is not None:
             out = out + spectral_value_coords(F, xc)
         return out
@@ -293,7 +291,6 @@ def linear_plus_spectral(c: Element, F: SpectralFunction | None, sense: str = "m
         label=label,
         algebra=c.algebra,
         sense=sense,
-        smooth=True,
         anchors=(("c", c),),
         value_c=value_c,
         subgrad_c=subgrad_c,
@@ -318,7 +315,6 @@ def kappa_shift(a: Element, sense: str = "min") -> Objective:
         label="kappa(x + a)",
         algebra=spec,
         sense=sense,
-        smooth=True,
         anchors=(("shift_a", a),),
         value_c=value_c,
     )
@@ -551,7 +547,6 @@ def _orbit_lockstep(objs: list[Objective], basis, starts: np.ndarray, sgn: np.nd
     the row when its value or subgradient was not finite or raised.
     """
     fns = _StackFns(objs)
-    smooth = np.array([o.smooth for o in objs])
     dim, k = basis.algebra.dim, basis.dimension
     S = basis.stack
     st = _Lockstep(starts, sgn, own)
@@ -586,10 +581,10 @@ def _orbit_lockstep(objs: list[Objective], basis, starts: np.ndarray, sgn: np.nd
             if not len(st):
                 break
         d = -beta
-        # saddle-free Newton endgame for smooth objectives: the acceptance
-        # tolerances need the stationarity tail, which plain descent crawls
-        # through; |curvature| keeps saddle escapes at a sane scale
-        newton = smooth[st["own"]] & ((it > 3) | (stat <= 1e-2 * (1.0 + np.abs(fc))))
+        # saddle-free Newton endgame: the acceptance tolerances need the
+        # stationarity tail, which plain descent crawls through;
+        # |curvature| keeps saddle escapes at a sane scale
+        newton = (it > 3) | (stat <= 1e-2 * (1.0 + np.abs(fc)))
         if newton.any():
             d[newton], bad = _newton_directions(st, basis, fns, beta, newton)
             if bad.any():
@@ -722,9 +717,9 @@ def orbit_descent(
     """Descent along automorphism curves x <- exp(tD) x.
 
     Directions pair the derivation basis against the current
-    (sub)gradient; smooth objectives finish with a saddle-free Newton
-    endgame on a finite-difference Hessian.  Armijo backtracking with a
-    warm-started trial step.  This is the one-problem, one-start call of
+    (sub)gradient; past three iterations, or once nearly stationary,
+    they are saddle-free Newton steps on a finite-difference Hessian.
+    Armijo backtracking with a warm-started trial step.  This is the one-problem, one-start call of
     ``_solve_batch``, x0 None meaning the anchor; a failed start raises
     an AlgebraError that carries the start's own message.
     """
@@ -874,8 +869,13 @@ def spectralbox_descent(
     central differences.  Armijo backtracking on s along the projection
     arc, warm-started from the last accepted step.  Stationarity is the
     projected-gradient step |c - P(c - g)|; the status is "converged"
-    once it is within tol, "line_search_failed" when Armijo finds no
-    decrease in MAX_HALVINGS halvings, "max_iters" otherwise.
+    once it is within tol, "stalled" at the rounding floor (as in
+    ``_armijo``): a trial whose predicted decrease g . (c - P(c - s g))
+    is within STALL_ULPS ulps of |value| neither decreases the value nor
+    raises it by more than those ulps, where a larger rise halves s.
+    "line_search_failed" when Armijo finds no decrease in MAX_HALVINGS
+    halvings, "max_iters" otherwise.  A stopped start keeps its last
+    accepted point.
     """
     if fset.variant != "box":
         raise AlgebraError("spectralbox_descent needs a box feasible set")
@@ -903,14 +903,20 @@ def spectralbox_descent(
             status = "converged"
             break
         s = min(1.0, 2.0 * s)
+        noise = STALL_ULPS * np.finfo(float).eps * abs(fc)
         for _ in range(MAX_HALVINGS):
             ct = project(c - s * g)
             ft = sgn * val(ct[None])[0]
-            if ft <= fc - ARMIJO_C1 * float(g @ (c - ct)):
+            pred = float(g @ (c - ct))
+            if ft <= fc - ARMIJO_C1 * pred:
+                break
+            if pred <= noise and fc <= ft <= fc + noise:
+                status = "stalled"
                 break
             s *= BACKTRACK
         else:
             status = "line_search_failed"
+        if status != "max_iters":
             break
         c, fc = ct, ft
     xbar = Element(spec, c)

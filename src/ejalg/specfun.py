@@ -250,7 +250,8 @@ def strict_schur_probe(f: SymmetricFunction, trials: int, rng: np.random.Generat
         u = np.mean([v[rng.permutation(SCHUR_LEN)] for _ in range(k)], axis=0)
         if np.max(np.abs(np.sort(u) - np.sort(v))) <= 1e-9:
             continue
-        assert majorizes(u, v)
+        if not majorizes(u, v):
+            raise AlgebraError("permutation average does not majorize its source; the probe's premise fails")
         margin = f.value(v) - f.value(u)
         min_margin = min(min_margin, margin)
         if margin <= 0.0:

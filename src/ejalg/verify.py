@@ -52,6 +52,7 @@ from .optimize import (  # multistart is unused but bound: bench/run.py traces i
     _raise_first,
     _solve_batch,
     kappa_shift,
+    linear_plus_spectral,
     multistart,
     orbit,
     permutation_oracle,
@@ -60,7 +61,6 @@ from .optimize import (  # multistart is unused but bound: bench/run.py traces i
 )
 from .specfun import (
     SpectralFunction,
-    SymmetricFunction,
     check_strict_schur,
     is_subgradient,
     monotone_pairing_check,
@@ -230,7 +230,6 @@ def _quadratic_plus_norm(spec: AlgebraSpec, M: np.ndarray, c0: np.ndarray, sense
         label="quadratic + schatten:2",
         algebra=spec,
         sense=sense,
-        smooth=True,
         value_c=value_c,
         subgrad_c=subgrad_c,
     )
@@ -275,33 +274,20 @@ def verify_smooth_principle(cfg: SuiteConfig) -> SuiteReport:
 # with a local maximizer
 
 
-def _max_objective(spec, kind, c_el, f_extra, sense="max") -> Objective:
+def _max_objective(c_el: Element, F: SpectralFunction | None) -> Objective:
+    """|x - c| + F(x), maximized: the max suite's shifted objective."""
     cc = c_el.coords
-    F = SpectralFunction(f_extra, spec) if f_extra is not None else None
 
     def value_c(x: np.ndarray):
-        out = _dot(cc, x) if kind == "linear" else np.sqrt(_dot(x - cc, x - cc))
-        if F is not None:
-            out = out + spectral_value_coords(F, x)
-        return out
+        out = np.sqrt(_dot(x - cc, x - cc))
+        return out if F is None else out + spectral_value_coords(F, x)
 
     def subgrad_c(x: np.ndarray) -> np.ndarray:
-        g = np.broadcast_to(cc, x.shape).copy() if kind == "linear" else _unit_rows(x - cc)
-        if F is not None:
-            g = g + spectral_subgrad_coords(F, x)
-        return g
+        g = _unit_rows(x - cc)
+        return g if F is None else g + spectral_subgrad_coords(F, x)
 
-    label = "<c, x>" if kind == "linear" else "schatten:2(x - c)"
-    if F is not None:
-        label += f" + {f_extra.name}"
-    return Objective(
-        label=label,
-        algebra=spec,
-        sense=sense,
-        smooth=True,
-        value_c=value_c,
-        subgrad_c=subgrad_c,
-    )
+    label = "schatten:2(x - c)" if F is None else f"schatten:2(x - c) + {F.f.name}"
+    return Objective(label=label, algebra=c_el.algebra, sense="max", value_c=value_c, subgrad_c=subgrad_c)
 
 
 def _sampled_theta_subgradients(spec, kind, c_el, xbar) -> list[Element]:
@@ -339,7 +325,9 @@ def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
         b = random_element(spec, rng)
         seed = _ms_seed(rng)
         rec = {"trial": i, "inputs": _hash_inputs(c_el.coords, b.coords), "objective": kind, "status": "ok"}
-        return rec, ((_max_objective(spec, kind, c_el, f_extra),), orbit(b), seed), (kind, c_el)
+        F = SpectralFunction(f_extra, spec) if f_extra is not None else None
+        obj = linear_plus_spectral(c_el, F, "max") if kind == "linear" else _max_objective(c_el, F)
+        return rec, ((obj,), orbit(b), seed), (kind, c_el)
 
     def certify(rec: dict, inputs, results) -> None:
         kind, c_el = inputs
@@ -400,7 +388,6 @@ def _maxaffine_objective(spec, C, d, f_extra, smooth_mu, sense="min") -> Objecti
         label=f"maxaffine:mu={smooth_mu:g}",
         algebra=spec,
         sense=sense,
-        smooth=True,
         value_c=value_c,
         subgrad_c=subgrad_c,
     )
@@ -640,11 +627,10 @@ def midpoint_witness_record(tol: Tolerances = Tolerances()) -> dict:
 # the shift, and the value matches the brute-force frame enumeration
 
 
-def verify_shifted_principle(cfg: SuiteConfig, functions: tuple[SymmetricFunction, ...] | None = None) -> SuiteReport:
+def verify_shifted_principle(cfg: SuiteConfig) -> SuiteReport:
     spec = cfg.algebra
     tol = cfg.tolerances
-    if functions is None:
-        functions = (schatten(2), schatten(3), sumsq())
+    functions = (schatten(2), schatten(3), sumsq())
     # the oracle enumerates the whole eigenvalue orbit; a solver that
     # cannot reach all of it has no comparable optimum
     connected = orbit_is_connected(spec)

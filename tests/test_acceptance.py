@@ -34,7 +34,6 @@ from ejalg import (
 )
 from ejalg.cli import main
 from ejalg.liegroup import commutes_via_derivations, project_perp_derivations
-from ejalg.specfun import schatten, sumsq
 from ejalg.verify import kappa_clipping_oracle
 
 AXIOM_ALGEBRAS = ("rn:5", "sym:3", "sym:5", "spin:4", "spin:6", "prod(sym:3,spin:4)")
@@ -197,12 +196,8 @@ def test_criterion_8_shifted_distance():
     t0 = time.monotonic()
     ok = True
     detail = []
-    fns = (schatten(2), schatten(3), sumsq())
     for name in SHIFT_ALGEBRAS:
-        rep = verify_shifted_principle(
-            SuiteConfig(algebra=parse_algebra(name), trials=300, seed=80),
-            functions=fns,
-        )
+        rep = verify_shifted_principle(SuiteConfig(algebra=parse_algebra(name), trials=300, seed=80))
         ok = ok and rep.passed and rep.worst["value"] <= 1e-6 and rep.worst["commute"] <= 1e-6
         ok = ok and rep.skips <= 30
         detail.append(f"{name} value {rep.worst['value']:.1e}")

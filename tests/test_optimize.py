@@ -149,7 +149,7 @@ def _factories():
         "linear_plus_spectral": linear_plus_spectral(c, F, "max"),
         "kappa_shift": kappa_shift(unit(spec) * 4.0),
         "quadratic_plus_norm": _quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), a.coords, "min"),
-        "max_objective": _max_objective(spec, "shifted", c, schatten(1.5)),
+        "max_objective": _max_objective(c, SpectralFunction(schatten(1.5), spec)),
         "maxaffine_objective": _maxaffine_objective(spec, C, d, sumsq(), smooth_mu=1e-2),
     }
 
@@ -702,6 +702,37 @@ def test_box_descent_leaves_tied_corner():
     # at 0.5 e every eigenvalue sits on the upper bound, tied
     res = spectralbox_descent(kappa_shift(a, "min"), spectral_box(spec, -0.5, 0.5), unit(spec) * 0.5, SolverParams(150, 1e-8))
     assert abs(res.value - 3.5 / 1.5) <= 1e-9
+
+
+def test_box_start_at_the_rounding_floor_stalls_at_its_last_accepted_point(monkeypatch):
+    import ejalg.optimize as opt
+
+    # a kappa start whose central differences (noise about 1e-10) stop
+    # resolving a decrease: without the floor it spends a full halving
+    # ladder and ends line_search_failed
+    spec = parse_algebra("sym:3")
+    rng = np.random.default_rng(0)
+    x = random_element(spec, rng)
+    lam = eigenvalue_map(x)
+    a = x + unit(spec) * (1.0 - lam[-1] + float(rng.uniform(0.3, 1.0)) * (1.0 + lam[0] - lam[-1]))
+    fset = spectral_box(spec, -0.5, 0.5)
+    obj, x0, params = kappa_shift(a), _draw_starts(fset, 2, 0)[1], SolverParams(max_iters=150, tol=1e-8)
+    projections = []
+    real = opt._decompose_rows
+    monkeypatch.setattr(opt, "_decompose_rows", lambda *args: projections.append(1) or real(*args))
+    res = spectralbox_descent(obj, fset, x0, params)
+    floored = len(projections)
+    assert res.status == "stalled"
+    # the stalled ladder keeps the point its last accepted step reached
+    before = spectralbox_descent(obj, fset, x0, dataclasses.replace(params, max_iters=res.iterations - 1))
+    assert before.status == "max_iters"
+    assert (res.x.coords.tobytes(), res.value) == (before.x.coords.tobytes(), before.value)
+    # a negative STALL_ULPS switches the floor off: the halving ladder alone
+    monkeypatch.setattr(opt, "STALL_ULPS", -1.0)
+    projections.clear()
+    ladder = spectralbox_descent(obj, fset, x0, params)
+    assert ladder.status == "line_search_failed"
+    assert floored < len(projections) - opt.MAX_HALVINGS
 
 
 @pytest.mark.parametrize("name", ["sym:3", "spin:4", "prod(sym:2,spin:3)"])

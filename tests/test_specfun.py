@@ -167,6 +167,15 @@ def test_check_strict_schur_contract():
         check_strict_schur(schatten(2), trials=10, seed=0)
 
 
+def test_strict_schur_probe_raises_when_its_premise_fails(monkeypatch):
+    # a named error, not an assert that python -O strips
+    import ejalg.specfun as sf
+
+    monkeypatch.setattr(sf, "majorizes", lambda u, v: False)
+    with pytest.raises(AlgebraError, match="majorize"):
+        sf.strict_schur_probe(sumsq(), 5, np.random.default_rng(0))
+
+
 def test_schur_strictness_fails_for_p1():
     # schatten:1 is not strictly Schur monotone on the positive orthant:
     # permutation averages keep the value exactly

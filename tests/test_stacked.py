@@ -198,11 +198,13 @@ def _row_exact_cases(spec, rng):
     }
     for f in (None, schatten(1.5), schatten(3)):
         name = f.name if f else "none"
-        objs[f"linear_plus_spectral:{name}"] = linear_plus_spectral(c, f and SpectralFunction(f, spec))
-        for kind in ("linear", "shifted"):
-            objs[f"max_objective:{kind}:{name}"] = _max_objective(spec, kind, c, f)
+        F = f and SpectralFunction(f, spec)
+        objs[f"linear_plus_spectral:{name}"] = linear_plus_spectral(c, F)
+        # the max suite's two objectives
+        objs[f"max_objective:linear:{name}"] = linear_plus_spectral(c, F, "max")
+        objs[f"max_objective:shifted:{name}"] = _max_objective(c, F)
     C, d = rng.standard_normal((3, spec.dim)), rng.standard_normal(3)
-    objs["maxaffine_objective"] = dataclasses.replace(_maxaffine_objective(spec, C, d, schatten(2), 1e-2), smooth=False)
+    objs["maxaffine_objective"] = _maxaffine_objective(spec, C, d, schatten(2), 1e-2)
     objs["maxaffine_objective:mu=0.01"] = _maxaffine_objective(spec, C, d, sumsq(), smooth_mu=1e-2)
     cases = {name: (obj.value_c, _coord_fns(obj)[1]) for name, obj in objs.items()}
     # a symmetric function takes rows of any length
@@ -330,7 +332,7 @@ def test_status_line_search_failed():
         return np.where(np.all(c == start, axis=-1), 0.0, np.inf)
 
     obj = Objective(
-        label="wall", algebra=spec, sense="min", value=lambda x: float(value_c(x.coords)), smooth=False,
+        label="wall", algebra=spec, sense="min", value=lambda x: float(value_c(x.coords)),
         value_c=value_c, subgrad_c=lambda c: 1e20 * shifted_spectral(F, a).subgrad_c(c),
     )
     res = orbit_descent(obj, orbit(b))
@@ -631,8 +633,7 @@ def _batch_problems(spec, rng, kappa=False):
     objs.append(linear_plus_spectral(random_element(spec, rng), SpectralFunction(sumsq(), spec)))
     A = rng.standard_normal((spec.dim, spec.dim))
     objs.append(_quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), rng.standard_normal(spec.dim)))
-    # nonsmooth: plain subgradient steps beside the Newton rows
-    objs.append(dataclasses.replace(_maxaffine_objective(spec, rng.standard_normal((2, spec.dim)), rng.standard_normal(2), sumsq(), 1e-2), smooth=False))
+    objs.append(_maxaffine_objective(spec, rng.standard_normal((2, spec.dim)), rng.standard_normal(2), sumsq(), 1e-2))
     if kappa:
         objs.append(kappa_shift(unit(spec) * 6.0 + random_element(spec, rng)))
     return [(o, orbit(random_element(spec, rng)), int(rng.integers(1000))) for o in objs]
@@ -659,19 +660,6 @@ def test_batch_with_finite_difference_objectives_matches_one_problem_calls(name)
     spec = parse_algebra(name)
     problems = _batch_problems(spec, np.random.default_rng(21), kappa=True)
     _assert_batch_matches_alone(problems[::-1], SolverParams(max_iters=30))
-
-
-def test_nonsmooth_rows_refresh_no_curvature(monkeypatch):
-    import ejalg.optimize as opt
-
-    problems = _batch_problems(parse_algebra("sym:3"), np.random.default_rng(28))
-    nonsmooth = [j for j, (obj, _, _) in enumerate(problems) if not obj.smooth]
-    assert nonsmooth and len(nonsmooth) < len(problems)
-    owners = []
-    real = opt._newton_directions
-    monkeypatch.setattr(opt, "_newton_directions", lambda st, *args: owners.extend(st["own"][args[-1]]) or real(st, *args))
-    multistart_minmax_batch(problems, SolverParams(), 4)
-    assert owners and not set(owners) & set(nonsmooth)
 
 
 def test_newton_rows_get_fresh_curvature_every_iteration(monkeypatch):
@@ -834,7 +822,7 @@ def test_batch_raises_the_first_problem_that_every_start_fails():
 # suite -> its objective builder, and the argument that tells the trials apart
 SUITE_BUILDERS = {
     "shifted": ("shifted_spectral", lambda F, a, *_, **__: a.coords),
-    "max": ("_max_objective", lambda spec, kind, c_el, *_, **__: c_el.coords),
+    "max": ("linear_plus_spectral", lambda c, *_, **__: c.coords),
     "min": ("_maxaffine_objective", lambda spec, C, *_, **__: C),
     "kappa": ("kappa_shift", lambda a, *_, **__: a.coords),
 }
