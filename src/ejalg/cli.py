@@ -173,8 +173,8 @@ def cmd_solve(args) -> int:
     if args.starts < 1 or args.max_iters < 1:
         print("error: --starts and --max-iters must be >= 1", file=sys.stderr)
         return USAGE_ERROR
-    if not args.tol > 0.0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (args.tol > 0.0 and np.isfinite(args.tol)):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return USAGE_ERROR
     params = SolverParams(max_iters=args.max_iters, tol=args.tol)
     try:

@@ -49,20 +49,6 @@ class DerivationBasis:
         return tuple(self.stack)
 
 
-@functools.lru_cache(maxsize=None)
-def _structure_tensor(spec: AlgebraSpec) -> np.ndarray:
-    """T[i, j] = coords of c_i o c_j."""
-    dim = spec.dim
-    eye = np.eye(dim)
-    T = np.empty((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            T[i, j] = _alg._jp_coords(spec, eye[i], eye[j])
-            T[j, i] = T[i, j]
-    T.setflags(write=False)
-    return T
-
-
 def _derivation_dimension(spec: AlgebraSpec) -> int:
     """dim Der(V): so(n) for sym:n, so(n - 1) for spin:n, none for rn."""
     if spec.kind == "prod":
@@ -119,7 +105,7 @@ def leibniz_residual(spec: AlgebraSpec, D: np.ndarray) -> float:
 
     Checking on basis pairs is exhaustive: the defect is bilinear.
     """
-    T = _structure_tensor(spec)
+    T = lyapunov_basis_stack(spec).transpose(0, 2, 1)  # T[i, j] = coords of c_i o c_j
     lhs = np.einsum("ijk,lk->ijl", T, D)
     rhs = np.einsum("ai,ajk->ijk", D, T) + np.einsum("bj,ibk->ijk", D, T)
     worst = float(np.max(np.linalg.norm(lhs - rhs, axis=2)))

@@ -231,70 +231,57 @@ class Objective:
             object.__setattr__(self, "subgradient", lambda x: Element(spec, subgrad_c(x.coords[None])[0]))
 
 
-class _Shifted:
-    """F(c - a) on coordinates: the value_c and subgrad_c of shifted_spectral.
+class _Spectral:
+    """theta(c) + F(c - a) on coordinates: the callables of every built-in objective with a spectral term.
 
-    Solvers recognise these bound methods and evaluate the rows of every
-    such objective in a stack with one spectral decomposition
-    (``_StackFns``); any other callable, a wrapper of these included, is
-    called as it is.
+    theta is a (value, subgradient) pair of stack callables, or None; a
+    is zero for the unshifted objectives.  Solvers recognise these bound
+    methods and evaluate the F terms of every such objective in a stack
+    with one spectral decomposition (``_StackFns``); any other callable,
+    a wrapper of these included, is called as it is.
     """
 
-    def __init__(self, F: SpectralFunction, ac: np.ndarray):
-        self.F, self.ac = F, ac
+    def __init__(self, F: SpectralFunction, ac: np.ndarray, theta=None):
+        self.F, self.ac, self.theta = F, ac, theta
 
     def value_c(self, c: np.ndarray):
-        return spectral_value_coords(self.F, c - self.ac)
+        return self.plus_theta(0, c, spectral_value_coords(self.F, c - self.ac))
 
     def subgrad_c(self, c: np.ndarray) -> np.ndarray:
-        return spectral_subgrad_coords(self.F, c - self.ac)
+        return self.plus_theta(1, c, spectral_subgrad_coords(self.F, c - self.ac))
+
+    def plus_theta(self, which: int, c: np.ndarray, term):
+        """term plus theta's value (which 0) or subgradient (which 1) at c."""
+        return term if self.theta is None else self.theta[which](c) + term
 
     @staticmethod
-    def of(obj: Objective) -> "_Shifted | None":
+    def of(obj: Objective) -> "_Spectral | None":
         """The kernel whose own methods are obj's callables, else None."""
         k = getattr(obj.value_c, "__self__", None)
-        if not isinstance(k, _Shifted) or obj.algebra != k.F.algebra:
+        if not isinstance(k, _Spectral) or obj.algebra != k.F.algebra:
             return None
         return k if obj.value_c == k.value_c and obj.subgrad_c == k.subgrad_c else None
 
 
+def _objective(label: str, spec: AlgebraSpec, sense: str, theta, F: SpectralFunction | None, a: Element | None = None, anchors=()) -> Objective:
+    """theta(x) + F(x - a), a zero when None: the kernel's callables, or theta's own when F is None."""
+    if F is not None:
+        k = _Spectral(F, np.zeros(spec.dim) if a is None else a.coords, theta)
+        theta = (k.value_c, k.subgrad_c)
+    return Objective(label=label, algebra=spec, sense=sense, value_c=theta[0], subgrad_c=theta[1], anchors=anchors)
+
+
 def shifted_spectral(F: SpectralFunction, a: Element, sense: str = "min") -> Objective:
     """F(x - a) with F's spectral subgradient carried over by the shift."""
-    kernel = _Shifted(F, a.coords)
-    return Objective(
-        label=f"{F.f.name}(x - a)",
-        algebra=F.algebra,
-        sense=sense,
-        anchors=(("shift_a", a),),
-        value_c=kernel.value_c,
-        subgrad_c=kernel.subgrad_c,
-    )
+    return _objective(f"{F.f.name}(x - a)", F.algebra, sense, None, F, a, (("shift_a", a),))
 
 
 def linear_plus_spectral(c: Element, F: SpectralFunction | None, sense: str = "min") -> Objective:
     """<c, x> + F(x), the pairing one ``_dot`` per row; F None drops the spectral term."""
     cc = c.coords
-
-    def value_c(xc: np.ndarray) -> float:
-        out = _dot(cc, xc)
-        if F is not None:
-            out = out + spectral_value_coords(F, xc)
-        return out
-
-    def subgrad_c(xc: np.ndarray) -> np.ndarray:
-        if F is None:
-            return np.broadcast_to(cc, xc.shape).copy()
-        return cc + spectral_subgrad_coords(F, xc)
-
+    theta = (lambda xc: _dot(cc, xc), lambda xc: np.broadcast_to(cc, xc.shape).copy())
     label = "<c, x>" if F is None else f"<c, x> + {F.f.name}(x)"
-    return Objective(
-        label=label,
-        algebra=c.algebra,
-        sense=sense,
-        anchors=(("c", c),),
-        value_c=value_c,
-        subgrad_c=subgrad_c,
-    )
+    return _objective(label, c.algebra, sense, theta, F, anchors=(("c", c),))
 
 
 def kappa_shift(a: Element, sense: str = "min") -> Objective:
@@ -425,19 +412,22 @@ class _StackFns:
     ``value(C, own)`` and ``grad(C, own)`` return (out, errors) as
     ``_evaluate`` does, each row in its own objective's terms.  Every
     distinct objective is called once, on its own rows, except that the
-    rows of objectives built by ``shifted_spectral`` share one call:
-    each row is shifted by its own a, the stack is decomposed once
+    rows of objectives built on the theta + F(x - a) kernel share one
+    call: each row is shifted by its own a, the stack is decomposed once
     through ``spectral_value_coords`` or ``spectral_subgrad_coords``,
-    and each row gets its own symmetric function and block averaging.
-    The kernels compute each row of a stack alone, so every row gets the
-    bits its objective's own stacked call would give it.
+    each row gets its own symmetric function and block averaging, and
+    each owner's theta is then added on that owner's rows.  The kernels
+    compute each row of a stack alone and IEEE addition commutes, so
+    every row gets the bits its objective's own stacked call would give it.
     """
 
     def __init__(self, objs: list[Objective]):
         self.fns = [_coord_fns(o) for o in objs]
-        kernels = [_Shifted.of(o) for o in objs]
+        self.kernels = kernels = [_Spectral.of(o) for o in objs]
         # owner -> the call its rows go to: -1 is the shared one
         self.group = np.array([-1 if k else j for j, k in enumerate(kernels)])
+        # owner -> whether its kernel adds a theta to its F term
+        self.has_theta = np.array([k is not None and k.theta is not None for k in kernels])
         live = [k for k in kernels if k]
         if live:
             self.shift = np.stack([k.ac if k else np.zeros_like(live[0].ac) for k in kernels])
@@ -454,7 +444,8 @@ class _StackFns:
         return self._grouped(1, C, own, C.shape)
 
     def _grouped(self, which: int, C: np.ndarray, own: np.ndarray, shape: tuple):
-        group = self.group[own]
+        # a stack of one owner's rows takes that owner's own call: the same bits, less gathering
+        group = own if (own == own[0]).all() else self.group[own]
         if (group == group[0]).all():
             return _evaluate(self._call(which, group[0]), C, own, shape)
         out, errors = np.empty(shape), {}
@@ -468,12 +459,18 @@ class _StackFns:
         if group >= 0:
             fn = self.fns[group][which]
             return lambda C, own: fn(C)
-        kernel = spectral_value_coords if which == 0 else spectral_subgrad_coords
+        term = spectral_value_coords if which == 0 else spectral_subgrad_coords
 
         def shared(C: np.ndarray, own: np.ndarray):
             fid = self.fid[own]
             f = self.funcs[fid[0]] if (fid == fid[0]).all() else _rowwise(self.funcs, fid)
-            return kernel(SpectralFunction(f, self.spec), C - self.shift[own])
+            out = term(SpectralFunction(f, self.spec), C - self.shift[own])
+            owners = set(own[self.has_theta[own]].tolist())
+            out = np.array(out) if owners else out
+            for j in owners:
+                rows = own == j
+                out[rows] = self.kernels[j].plus_theta(which, C[rows], out[rows])
+            return out
 
         return shared
 
@@ -1084,8 +1081,9 @@ def multistart_minmax_batch(
     The problems must share one algebra.  Each problem draws its own
     start sequence from its seed; over orbits, the rows of all problems,
     both senses and every start run in lockstep stacks of at most
-    STACK_ROWS rows.  Rows of objectives built by ``shifted_spectral``
-    share one spectral decomposition per stacked call.  Every pair is
+    STACK_ROWS rows.  Rows of objectives built on the theta + F(x - a)
+    kernel, every built-in objective with a spectral term, share one
+    spectral decomposition per stacked call.  Every pair is
     what ``multistart_minmax`` returns for its problem alone, bit for
     bit; when that call would raise for some problem, the batch raises
     the error of the first such problem.

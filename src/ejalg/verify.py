@@ -49,6 +49,7 @@ from .optimize import (  # multistart is unused but bound: bench/run.py traces i
     _dot,
     _draw_starts,
     _matvec,
+    _objective,
     _raise_first,
     _solve_batch,
     kappa_shift,
@@ -65,7 +66,6 @@ from .specfun import (
     is_subgradient,
     monotone_pairing_check,
     schatten,
-    spectral_subgrad_coords,
     spectral_subgradient,
     spectral_value_coords,
     strict_schur_probe,
@@ -216,7 +216,7 @@ def _unit_rows(d: np.ndarray) -> np.ndarray:
     return np.divide(d, nd, out=np.zeros_like(d), where=nd > 1e-12)
 
 
-def _quadratic_plus_norm(spec: AlgebraSpec, M: np.ndarray, c0: np.ndarray, sense: str = "min") -> Objective:
+def _quadratic_plus_norm(spec: AlgebraSpec, M: np.ndarray, c0: np.ndarray) -> Objective:
     # Schatten-2 equals the coordinate norm in the trace inner product,
     # so the spectral term is constant along the orbit; it still rides
     # along in the objective the solver sees
@@ -229,7 +229,7 @@ def _quadratic_plus_norm(spec: AlgebraSpec, M: np.ndarray, c0: np.ndarray, sense
     return Objective(
         label="quadratic + schatten:2",
         algebra=spec,
-        sense=sense,
+        sense="min",
         value_c=value_c,
         subgrad_c=subgrad_c,
     )
@@ -277,17 +277,9 @@ def verify_smooth_principle(cfg: SuiteConfig) -> SuiteReport:
 def _max_objective(c_el: Element, F: SpectralFunction | None) -> Objective:
     """|x - c| + F(x), maximized: the max suite's shifted objective."""
     cc = c_el.coords
-
-    def value_c(x: np.ndarray):
-        out = np.sqrt(_dot(x - cc, x - cc))
-        return out if F is None else out + spectral_value_coords(F, x)
-
-    def subgrad_c(x: np.ndarray) -> np.ndarray:
-        g = _unit_rows(x - cc)
-        return g if F is None else g + spectral_subgrad_coords(F, x)
-
+    theta = (lambda x: np.sqrt(_dot(x - cc, x - cc)), lambda x: _unit_rows(x - cc))
     label = "schatten:2(x - c)" if F is None else f"schatten:2(x - c) + {F.f.name}"
-    return Objective(label=label, algebra=c_el.algebra, sense="max", value_c=value_c, subgrad_c=subgrad_c)
+    return _objective(label, c_el.algebra, "max", theta, F)
 
 
 def _sampled_theta_subgradients(spec, kind, c_el, xbar) -> list[Element]:
@@ -357,9 +349,8 @@ def verify_max_principle(cfg: SuiteConfig) -> SuiteReport:
 # with the minimizer, which reads only the minimizer and the generators
 
 
-def _maxaffine_objective(spec, C, d, f_extra, smooth_mu, sense="min") -> Objective:
-    """max_j (<c_j, x> + d_j), softmax-smoothed at temperature smooth_mu, plus the spectral tail."""
-    F = SpectralFunction(f_extra, spec) if f_extra is not None else None
+def _maxaffine_objective(spec, C, d, f_extra, smooth_mu) -> Objective:
+    """max_j (<c_j, x> + d_j), softmax-smoothed at temperature smooth_mu, plus the spectral tail; minimized."""
 
     def pieces(x: np.ndarray) -> np.ndarray:
         return _matvec(C, x) + d
@@ -370,27 +361,16 @@ def _maxaffine_objective(spec, C, d, f_extra, smooth_mu, sense="min") -> Objecti
         z = pieces(x)
         s = np.max(z, axis=-1, keepdims=True)
         s = s + smooth_mu * np.log(np.add.reduce(np.exp((z - s) / smooth_mu), axis=-1, keepdims=True))
-        out = s[..., 0]
-        if F is not None:
-            out = out + spectral_value_coords(F, x)
-        return out
+        return s[..., 0]
 
     def subgrad_c(x: np.ndarray) -> np.ndarray:
         z = pieces(x)
         p = np.exp((z - np.max(z, axis=-1, keepdims=True)) / smooth_mu)
         p = p / np.add.reduce(p, axis=-1, keepdims=True)
-        g = _matvec(C.T, p)
-        if F is not None:
-            g = g + spectral_subgrad_coords(F, x)
-        return g
+        return _matvec(C.T, p)
 
-    return Objective(
-        label=f"maxaffine:mu={smooth_mu:g}",
-        algebra=spec,
-        sense=sense,
-        value_c=value_c,
-        subgrad_c=subgrad_c,
-    )
+    F = SpectralFunction(f_extra, spec) if f_extra is not None else None
+    return _objective(f"maxaffine:mu={smooth_mu:g}", spec, "min", (value_c, subgrad_c), F)
 
 
 def commuting_witness(xbar: Element, generators: list[Element]) -> tuple[np.ndarray, float]:

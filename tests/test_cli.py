@@ -219,7 +219,7 @@ def test_demo_prints_trials_and_record(capsys, tmp_path):
 
 def test_solver_options_out_of_range_are_usage_errors(capsys):
     base = ("solve", "--algebra", "sym:3", "--orbit", "random")
-    for opt, value in (("--starts", "0"), ("--max-iters", "0"), ("--tol", "0"), ("--tol", "-1e-8"), ("--tol", "nan")):
+    for opt, value in (("--starts", "0"), ("--max-iters", "0"), ("--tol", "0"), ("--tol", "-1e-8"), ("--tol", "nan"), ("--tol", "inf")):
         code, out, err = run(capsys, *base, opt, value)
         assert code == 2, (opt, value)
         assert opt in err and not out

@@ -25,7 +25,6 @@ from ejalg.algebra import AlgebraError, lyapunov_basis_stack
 from ejalg.liegroup import (
     RANK_TOL,
     _expm,
-    _structure_tensor,
     exp_action,
     leibniz_residual,
     orbit_is_connected,
@@ -113,7 +112,7 @@ def test_derivations_annihilate_unit(name):
 
 def multiplicativity_residual(spec, X: np.ndarray) -> float:
     """Worst defect of X(a o b) = Xa o Xb over orthonormal basis pairs."""
-    T = _structure_tensor(spec)
+    T = lyapunov_basis_stack(spec).transpose(0, 2, 1)  # T[i, j] = coords of c_i o c_j
     lhs = np.einsum("ijk,lk->ijl", T, X)
     rhs = np.einsum("ai,bj,abk->ijk", X, X, T)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=2)))

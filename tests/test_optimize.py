@@ -148,7 +148,7 @@ def _factories():
         "shifted_spectral": shifted_spectral(F, a),
         "linear_plus_spectral": linear_plus_spectral(c, F, "max"),
         "kappa_shift": kappa_shift(unit(spec) * 4.0),
-        "quadratic_plus_norm": _quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), a.coords, "min"),
+        "quadratic_plus_norm": _quadratic_plus_norm(spec, A @ A.T + np.eye(spec.dim), a.coords),
         "max_objective": _max_objective(c, SpectralFunction(schatten(1.5), spec)),
         "maxaffine_objective": _maxaffine_objective(spec, C, d, sumsq(), smooth_mu=1e-2),
     }

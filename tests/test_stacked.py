@@ -693,8 +693,16 @@ def test_batch_rejects_mixed_algebras():
 
 
 def _hostile_kernels(spec, rng):
-    """shifted_spectral objectives whose shifts make the rows below tied or near-tied."""
-    return [shifted_spectral(SpectralFunction(f, spec), random_element(spec, rng)) for f in (schatten(2), schatten(3), sumsq(), schatten(1.5))]
+    """(objectives on the theta + F(x - a) kernel, the a of each): every built-in factory with a spectral term."""
+    objs = [shifted_spectral(SpectralFunction(f, spec), random_element(spec, rng)) for f in (schatten(2), schatten(3), sumsq(), schatten(1.5))]
+    shifts = [o.anchors[0][1].coords for o in objs]
+    c, C, d = random_element(spec, rng), rng.standard_normal((3, spec.dim)), rng.standard_normal(3)
+    objs += [
+        linear_plus_spectral(c, SpectralFunction(schatten(3), spec), "max"),
+        _max_objective(c, SpectralFunction(schatten(1.5), spec)),
+        _maxaffine_objective(spec, C, d, sumsq(), 1e-2),
+    ]
+    return objs, np.stack(shifts + [np.zeros(spec.dim)] * 3)
 
 
 @pytest.mark.parametrize("name", ["sym:3", "spin:4", "prod(sym:3,spin:4)", "rn:4"])
@@ -703,11 +711,12 @@ def test_shared_shifted_call_matches_per_objective_calls(name):
 
     spec = parse_algebra(name)
     rng = np.random.default_rng(23)
-    objs = _hostile_kernels(spec, rng)
-    # rows x + a_j of the hostile stack: x - a_j is tied, near-tied or a tiny spin vector
+    objs, shifts = _hostile_kernels(spec, rng)
+    # every objective gets every row x + a_j of the hostile stack, interleaved:
+    # x - a_j is tied, near-tied or a tiny spin vector
     X = _hostile_stack(spec, rng)
-    own = np.resize(np.arange(len(objs)), len(X) * 2)
-    C = np.concatenate([X, X]) + np.stack([objs[j].anchors[0][1].coords for j in own])
+    own = np.tile(np.arange(len(objs)), len(X))
+    C = X[np.repeat(np.arange(len(X)), len(objs))] + shifts[own]
     fns = _StackFns(objs)
     assert (fns.group == -1).all()
     vals, verr = fns.value(C, own)
@@ -719,27 +728,31 @@ def test_shared_shifted_call_matches_per_objective_calls(name):
         assert _bits(subs[rows]) == _bits(obj.subgrad_c(C[rows]))
         # and a row alone, in a one-row stack
         for i in rows:
+            assert _bits(vals[i]) == _bits(obj.value_c(C[i : i + 1])[0])
             assert _bits(subs[i]) == _bits(obj.subgrad_c(C[i : i + 1])[0])
-    # a function that refuses some rows: those rows fail alone, the rest keep their bits
-    f = schatten(3)
-    a1 = objs[1].anchors[0][1]
-    limit = np.median(_eigvals(spec, C[own == 1] - a1.coords)[:, 0])
 
-    def value(u):
-        if (u[..., 0] > limit).any():
-            raise AlgebraError("refused")
-        return f.value(u)
+    # functions that refuse some rows: those rows fail alone, the rest keep their bits
+    def refusing(f, j):
+        limit = np.median(_eigvals(spec, C[own == j] - shifts[j])[:, 0])
 
-    refusing = dataclasses.replace(f, value=value)
-    objs[1] = shifted_spectral(SpectralFunction(refusing, spec), a1)
+        def value(u):
+            if (u[..., 0] > limit).any():
+                raise AlgebraError("refused")
+            return f.value(u)
+
+        return SpectralFunction(dataclasses.replace(f, value=value), spec)
+
+    objs[1] = shifted_spectral(refusing(schatten(3), 1), objs[1].anchors[0][1])
+    objs[4] = linear_plus_spectral(objs[4].anchors[0][1], refusing(schatten(3), 4), "max")
     fns = _StackFns(objs)
+    assert (fns.group == -1).all()
     vals, verr = fns.value(C, own)
-    assert 0 < len(verr) < np.sum(own == 1)
     for j, obj in enumerate(objs):
         rows = np.flatnonzero(own == j)
         want, werr = _evaluate(lambda c, _: obj.value_c(c), C[rows], own[rows], (len(rows),))
         assert _bits(vals[rows]) == _bits(want)
         assert {rows[i]: str(e) for i, e in werr.items()} == {i: str(e) for i, e in verr.items() if own[i] == j}
+        assert (0 < len(werr) < len(rows)) == (j in (1, 4))
 
 
 def test_wrapped_callables_take_the_per_objective_path():
